@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -156,12 +157,12 @@ void MetricsRegistry::observe_duration_us(std::string_view name, double us) {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  // std::map keys the merge by name, which both deduplicates across shards
-  // and delivers the sorted-by-name output order in one pass.
+  // std::map/std::set key the merge by name, which both deduplicates across
+  // shards and delivers the sorted-by-name output order in one pass.
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, std::vector<double>> histograms;
-  std::map<std::string, std::vector<double>> timers;
+  std::set<std::string> histogram_names;
+  std::set<std::string> timer_names;
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& shard : shards_) {
@@ -171,14 +172,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       const auto [it, inserted] = gauges.emplace(name, v);
       if (!inserted) it->second = std::max(it->second, v);
     }
-    for (const auto& [name, vs] : shard->histograms) {
-      auto& dst = histograms[name];
-      dst.insert(dst.end(), vs.begin(), vs.end());
-    }
-    for (const auto& [name, vs] : shard->timers) {
-      auto& dst = timers[name];
-      dst.insert(dst.end(), vs.begin(), vs.end());
-    }
+    for (const auto& entry : shard->histograms) histogram_names.insert(entry.first);
+    for (const auto& entry : shard->timers) timer_names.insert(entry.first);
   }
 
   MetricsSnapshot snap;
@@ -196,26 +191,36 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     m.value = v;
     snap.gauges.push_back(std::move(m));
   }
-  for (auto& [name, vs] : histograms)
-    snap.histograms.push_back(aggregate_samples(name, MetricKind::kHistogram, std::move(vs)));
-  for (auto& [name, vs] : timers)
-    snap.timers.push_back(aggregate_samples(name, MetricKind::kTimer, std::move(vs)));
+  // Sample metrics are merged and aggregated one name at a time, so the
+  // transient copy of recorded samples is never more than one metric's.
+  for (const auto& name : histogram_names)
+    snap.histograms.push_back(aggregate_samples(
+        name, MetricKind::kHistogram, gather_samples(MetricKind::kHistogram, name)));
+  for (const auto& name : timer_names)
+    snap.timers.push_back(aggregate_samples(name, MetricKind::kTimer,
+                                            gather_samples(MetricKind::kTimer, name)));
   return snap;
+}
+
+std::vector<double> MetricsRegistry::gather_samples(MetricKind kind,
+                                                    const std::string& name) const {
+  std::vector<double> samples;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    const auto& metrics = kind == MetricKind::kTimer ? shard->timers : shard->histograms;
+    const auto it = metrics.find(name);
+    if (it != metrics.end())
+      samples.insert(samples.end(), it->second.begin(), it->second.end());
+  }
+  return samples;
 }
 
 std::vector<double> MetricsRegistry::histogram_samples(std::string_view name) const {
   // The same shard merge snapshot() performs, restricted to one histogram:
   // concatenation across shards (any order) then an ascending sort, so the
   // result — and every quantile of it — is thread-count-invariant.
-  std::vector<double> samples;
-  const std::string key(name);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    const auto it = shard->histograms.find(key);
-    if (it != shard->histograms.end())
-      samples.insert(samples.end(), it->second.begin(), it->second.end());
-  }
+  std::vector<double> samples = gather_samples(MetricKind::kHistogram, std::string(name));
   std::sort(samples.begin(), samples.end());
   return samples;
 }

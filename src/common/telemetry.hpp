@@ -173,6 +173,9 @@ class MetricsRegistry {
   struct Shard;
 
   Shard& local_shard();
+  /// One histogram (or, for kTimer, timer) metric's samples concatenated
+  /// across shards in shard order, unsorted. The caller holds mu_.
+  std::vector<double> gather_samples(MetricKind kind, const std::string& name) const;
 
   const std::uint64_t id_;  // process-unique, keys the thread-local cache
   mutable std::mutex mu_;

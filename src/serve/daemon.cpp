@@ -1,5 +1,6 @@
 #include "serve/daemon.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -27,9 +28,10 @@ struct SessionAborted {};
 constexpr std::size_t kMaxCtlLine = 1 << 16;
 
 /// How long a queued element command may wait for a session quiescent
-/// point before its client gets `err timeout`. Reference rounds tick at
-/// worst every SocketSource poll_ms (~50 ms), so 2 s only fires on a
-/// genuinely wedged session. The wait is serviced from the driver loop
+/// point before its client gets `err timeout`. A reference round ends at
+/// least every SocketSource poll_ms (~50 ms), and the session wakes the
+/// driver loop as soon as it has answered, so 2 s only fires on a genuinely
+/// wedged session. The deadline is checked on the driver loop's poll tick
 /// (service_ctl_replies), never blocked on.
 constexpr auto kCtlReplyTimeout = std::chrono::seconds(2);
 
@@ -103,6 +105,16 @@ RelayDaemon::RelayDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
                                           << "')");
     ports_.push_back(std::move(port));
   }
+
+  int wake[2] = {-1, -1};
+  FF_CHECK_MSG(::pipe(wake) == 0, "RelayDaemon: pipe() failed");
+  wake_rd_.reset(wake[0]);
+  wake_wr_.reset(wake[1]);
+  // Non-blocking both ends: a full pipe already holds a wake-up, and the
+  // driver drains it without blocking.
+  for (const int fd : wake)
+    FF_CHECK_MSG(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK) == 0,
+                 "RelayDaemon: cannot make the wake pipe non-blocking");
 }
 
 RelayDaemon::~RelayDaemon() {
@@ -283,11 +295,14 @@ void RelayDaemon::abort_session() {
 void RelayDaemon::poll_once(int timeout_ms) {
   struct Entry {
     int fd;
-    enum { kCtlListener, kCtlClient, kPendingPeer, kDataListener } type;
+    enum { kWake, kCtlListener, kCtlClient, kPendingPeer, kDataListener } type;
     std::size_t index;
     std::string elem;  // kPendingPeer: the pending_ key
   };
-  std::vector<Entry> entries;
+  // The wake pipe ends the wait as soon as a session has answered a queued
+  // control command; with no sockets at all it is the loop's plain sleep,
+  // which still paces back-to-back sessions.
+  std::vector<Entry> entries{{wake_rd_.get(), Entry::kWake, 0, {}}};
   if (control_listener_.valid())
     entries.push_back({control_listener_.get(), Entry::kCtlListener, 0, {}});
   for (std::size_t i = 0; i < ctl_clients_.size(); ++i)
@@ -307,16 +322,20 @@ void RelayDaemon::poll_once(int timeout_ms) {
                     static_cast<short>(entries[i].type == Entry::kPendingPeer ? 0
                                                                               : POLLIN),
                     0};
-  // No sockets at all (no control plane, no socket elements): plain sleep
-  // so back-to-back sessions still pace the loop.
-  const int rc = ::poll(fds.empty() ? nullptr : fds.data(),
-                        static_cast<nfds_t>(fds.size()), timeout_ms);
+  const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
   if (rc <= 0) return;  // timeout or EINTR: the driver loop comes round again
 
   std::vector<std::size_t> drop;  // ctl_clients_ indices to remove
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     switch (entries[i].type) {
+      case Entry::kWake: {
+        // Only the wake-up matters; service_ctl_replies() runs next.
+        char buf[64];
+        while (::read(entries[i].fd, buf, sizeof buf) > 0) {
+        }
+        break;
+      }
       case Entry::kCtlListener:
         ctl_clients_.emplace_back();
         ctl_clients_.back().fd = stream::wire_accept(control_listener_.get());
@@ -522,15 +541,24 @@ std::string RelayDaemon::exec_element_command(stream::Graph& g,
 }
 
 void RelayDaemon::drain_ctl_queue(stream::Graph& g) {
+  bool answered = false;
   for (;;) {
     std::unique_ptr<CtlRequest> req;
     {
       std::lock_guard<std::mutex> lock(ctl_mu_);
-      if (ctl_queue_.empty()) return;
+      if (ctl_queue_.empty()) break;
       req = std::move(ctl_queue_.front());
       ctl_queue_.pop_front();
     }
     req->reply.set_value(exec_element_command(g, req->cmd));
+    answered = true;
+  }
+  if (answered) {
+    // Wake the driver loop so service_ctl_replies() sends the replies now.
+    // EAGAIN means the pipe is full, so the driver is already due to wake.
+    const char byte = 1;
+    const ssize_t n = ::write(wake_wr_.get(), &byte, 1);
+    (void)n;
   }
 }
 

@@ -24,8 +24,11 @@
 //     quiescent points: the driver enqueues the request and the session's
 //     on_round callback (reference mode) executes it between rounds, so a
 //     live `write src_cfo.set_cfo 200` is exactly as safe as `--set` at
-//     startup. Throughput-mode sessions have no global quiescent point and
-//     answer `err busy` for element commands (stats/snapshot still work).
+//     startup. Once it has answered, the session thread wakes the driver
+//     loop through a self-pipe, so the reply goes out at once rather than
+//     at the loop's next poll tick. Throughput-mode sessions have no global
+//     quiescent point and answer `err busy` for element commands
+//     (stats/snapshot still work).
 //
 //   * telemetry export — the daemon-lifetime MetricsRegistry (serve.*
 //     counters plus every session's stream.* metrics, accumulated) is
@@ -193,6 +196,8 @@ class RelayDaemon {
   /// Delivers ready (or timed-out) pending element-command replies.
   void service_ctl_replies();
   std::string exec_element_command(stream::Graph& g, const ControlCommand& cmd);
+  /// Session thread: executes the queued element commands, then wakes the
+  /// driver loop so service_ctl_replies() sends the replies right away.
   void drain_ctl_queue(stream::Graph& g);
   void flush_ctl_queue(const std::string& code, const std::string& detail);
 
@@ -209,6 +214,10 @@ class RelayDaemon {
 
   std::atomic<bool> stop_{false};
 
+  /// Self-pipe in poll_once()'s poll set: the session thread writes a byte
+  /// to wake_wr_ after answering control commands.
+  stream::OwnedFd wake_rd_;
+  stream::OwnedFd wake_wr_;
   stream::OwnedFd control_listener_;
   std::vector<stream::OwnedFd> data_listeners_;  // parallel to ports_
   std::vector<CtlClient> ctl_clients_;

@@ -52,6 +52,12 @@ bool SocketSource::work() {
     }
     return false;
   }
+  // Only the first frame of a pass may be waited for. After it, take just
+  // the frames already buffered in the socket, so each frame runs through
+  // the graph in the round it arrives instead of waiting for the frames
+  // behind it; a sender that outpaces the graph still fills the output
+  // channel in one pass.
+  int wait_ms = poll_ms_;
   bool moved = false;
   while (out_ready(0)) {
     if (!conn_.valid() && !poll_connection()) {
@@ -67,7 +73,7 @@ bool SocketSource::work() {
       magic_seen_ = true;
     }
     CVec samples;
-    const WireRecv st = wire_recv_frame(conn_.get(), samples, poll_ms_);
+    const WireRecv st = wire_recv_frame(conn_.get(), samples, wait_ms);
     if (st == WireRecv::kTimeout) {
       waiting_ = true;
       break;
@@ -84,6 +90,7 @@ bool SocketSource::work() {
     ++frames_;
     emit(0, std::move(b));
     moved = true;
+    wait_ms = 0;
   }
   if (!eos_ && !out_ready(0)) note_stall();
   if (eos_) {

@@ -41,8 +41,9 @@ namespace ff::stream {
 ///
 /// Params: endpoint (unix:<path> | tcp:<host>:<port>; required unless a
 /// connection is adopted), listen (default true: bind+accept; false: dial
-/// out), poll_ms (default 50: per-round wait for the peer),
-/// connect_timeout (default 10 s, dial-out mode).
+/// out), poll_ms (default 50: how long a pass waits for its first frame;
+/// buffered frames are taken without waiting), connect_timeout (default
+/// 10 s, dial-out mode).
 /// Handlers: produced, frames, connected (read).
 class SocketSource : public Element {
  public:

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -479,6 +480,66 @@ TEST(SocketRelay, SessionChecksumPinnedAcrossFrameSizesAndModes) {
   }
 }
 
+// Regression: SocketSource used to keep reading until its output channel
+// was full, waiting up to poll_ms for every frame, so a paced sender's frame
+// sat in the source until the frames behind it arrived. Now a pass waits for
+// its first frame only, and the frame is forwarded in the round it arrives.
+TEST(SocketRelay, ForwardsEachFrameBeforeTheNextIsSent) {
+  const std::string dir = make_temp_dir();
+  const std::string in_ep = "unix:" + dir + "/in.sock";
+  const std::string out_ep = "unix:" + dir + "/out.sock";
+
+  stream::Graph g;
+  auto* in = g.emplace<stream::SocketSource>("in");
+  {
+    stream::Params p;
+    p.set("endpoint", in_ep);
+    p.set("poll_ms", "60000");
+    in->configure(p);
+  }
+  auto* out = g.emplace<stream::SocketSink>("out");
+  {
+    stream::Params p;
+    p.set("endpoint", out_ep);
+    out->configure(p);  // dials out to the listener below
+  }
+  g.connect(*in, 0, *out, 0);
+
+  // The test owns the output listener, so a sink that never dials in shows
+  // up as a poll timeout rather than a blocked accept.
+  const stream::OwnedFd out_listener =
+      stream::wire_listen(stream::parse_endpoint("t", out_ep));
+  std::thread runner([&] { stream::Scheduler(g).run(); });
+
+  const stream::OwnedFd tx =
+      stream::wire_connect(stream::parse_endpoint("t", in_ep), 20.0);
+  stream::wire_send_magic(tx.get());
+  CVec ramp(64);
+  for (std::size_t i = 0; i < ramp.size(); ++i)
+    ramp[i] = Complex{static_cast<double>(i), -1.0};
+  stream::wire_send_frame(tx.get(), CSpan{ramp.data(), ramp.size()});
+
+  // The frame's output must arrive while the sender is still quiet. The EOS
+  // is sent either way, so a failure ends the run instead of hanging it.
+  stream::OwnedFd rx;
+  const bool dialed = stream::wire_poll_readable(out_listener.get(), 5000);
+  EXPECT_TRUE(dialed) << "the sink never received the first frame";
+  if (dialed) {
+    rx = stream::wire_accept(out_listener.get());
+    stream::wire_expect_magic(rx.get());
+    CVec frame;
+    EXPECT_EQ(stream::wire_recv_frame(rx.get(), frame, 5000), stream::WireRecv::kFrame);
+    EXPECT_EQ(frame, ramp);
+  }
+  stream::wire_send_eos(tx.get());
+  runner.join();
+  EXPECT_EQ(in->frames(), 1u);
+
+  ::unlink((dir + "/in.sock").c_str());
+  ::unlink((dir + "/out.sock").c_str());
+  ::rmdir(dir.c_str());
+}
+
 // ------------------------------------------------------------ the daemon
 
 TEST(RelayDaemon, ServesControlAdmissionAndLiveRetunes) {
@@ -641,6 +702,54 @@ TEST(RelayDaemon, ShutdownAbortsAnInFlightSession) {
 
   EXPECT_EQ(daemon.sessions_started(), 1u);
   EXPECT_EQ(daemon.sessions_aborted(), 1u);
+}
+
+// Regression: an element command's reply used to wait for the driver
+// loop's 50 ms poll tick after the session had already answered it. The
+// session now wakes the driver, so a read returns within one session round
+// (poll_ms = 5 here).
+TEST(RelayDaemon, ControlReadsReturnWithoutWaitingForThePollTick) {
+  const std::string dir = make_temp_dir();
+  const std::string in_ep = "unix:" + dir + "/in.sock";
+  const std::string out_ep = "unix:" + dir + "/out.sock";
+  const std::string ctl_ep = "unix:" + dir + "/ctl.sock";
+
+  serve::DaemonConfig cfg;
+  cfg.graph_text = "in :: SocketSource(endpoint=" + in_ep + ", poll_ms=5);\n" +
+                   "out :: SocketSink(endpoint=" + out_ep + ", listen=true);\n" +
+                   "in -> out;\n";
+  cfg.control = ctl_ep;
+  cfg.log = [](const std::string&) {};
+  serve::RelayDaemon daemon(std::move(cfg));
+  std::thread runner([&] { daemon.run(); });
+
+  const stream::OwnedFd ctl =
+      stream::wire_connect(stream::parse_endpoint("t", ctl_ep), 20.0);
+  const stream::OwnedFd tx =
+      stream::wire_connect(stream::parse_endpoint("t", in_ep), 20.0);
+  stream::wire_send_magic(tx.get());
+  const stream::OwnedFd rx =
+      stream::wire_connect(stream::parse_endpoint("t", out_ep), 20.0);
+  CVec ramp(16, Complex{1.0, 0.0});
+  stream::wire_send_frame(tx.get(), CSpan{ramp.data(), ramp.size()});
+  stream::wire_expect_magic(rx.get());
+  CVec frame;
+  ASSERT_EQ(stream::wire_recv_frame(rx.get(), frame, -1), stream::WireRecv::kFrame);
+
+  std::vector<double> rtt_ms;
+  for (int i = 0; i < 5; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(control(ctl.get(), "read in.frames"), "ok 1");
+    rtt_ms.push_back(
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+  std::sort(rtt_ms.begin(), rtt_ms.end());
+  EXPECT_LT(rtt_ms[2], 25.0) << "median control read round trip (ms)";
+
+  stream::wire_send_eos(tx.get());
+  EXPECT_EQ(control(ctl.get(), "shutdown"), "ok shutting-down");
+  runner.join();
 }
 
 // Regression: a data peer that connected and died before its session
