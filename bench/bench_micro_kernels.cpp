@@ -136,19 +136,6 @@ void BM_Fft64Radix4(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft64Radix4);
 
-void BM_ForwardPipelinePush(benchmark::State& state) {
-  relay::PipelineConfig cfg;
-  cfg.cfo_hz = 30e3;
-  cfg.prefilter = CVec(4, Complex{0.5, 0.1});
-  cfg.gain_db = 80.0;
-  relay::ForwardPipeline pipe(cfg);
-  Rng rng(2);
-  const Complex s = rng.cgaussian();
-  for (auto _ : state) benchmark::DoNotOptimize(pipe.push(s));
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ForwardPipelinePush);
-
 void BM_CausalCanceller120Taps(benchmark::State& state) {
   Rng rng(3);
   CVec taps(120);
@@ -226,7 +213,7 @@ void BM_FirCoreF32(benchmark::State& state) {
   dsp::kernels::narrow(hw, h);
   dsp::kernels::narrow(extw, ext);
   for (auto _ : state) {
-    dsp::fir_core32(h, ext.data(), y);
+    dsp::fir_core(h, ext.data(), y);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -65,14 +65,15 @@ if(NOT hwc GREATER 0)
 endif()
 
 # v2 build/runtime provenance fields: the dispatched kernel ISA must be one
-# of the known names and must be consistent with whether SIMD paths were
-# compiled at all (scalar is always legal — FF_KERNEL_ISA can force it).
+# of the known names and must be consistent with whether the SIMD path was
+# compiled at all (scalar is always legal — an FF_SIMD=ON build runs it on
+# a CPU without AVX2).
 string(JSON isa ERROR_VARIABLE jerr GET "${doc}" isa)
 if(jerr)
   message(FATAL_ERROR "bench JSON missing v2 'isa' field: ${jerr}")
 endif()
-if(NOT isa MATCHES "^(scalar|sse2|avx2)$")
-  message(FATAL_ERROR "unexpected isa '${isa}' (want scalar|sse2|avx2)")
+if(NOT isa MATCHES "^(scalar|avx2)$")
+  message(FATAL_ERROR "unexpected isa '${isa}' (want scalar|avx2)")
 endif()
 string(JSON simd ERROR_VARIABLE jerr GET "${doc}" ff_simd)
 if(jerr)

@@ -16,17 +16,12 @@ namespace {
 // Per-thread Stockham ping-pong scratch (2n: one staging buffer plus one
 // pre-copy buffer for odd-stage-count in-place transforms). Thread-local so
 // shared cached plans stay immutable and lock-free across workers; grows to
-// the largest size a thread has used and is then allocation-free.
-Complex* tl_scratch(std::size_t n) {
-  thread_local kernels::AlignedCVec buf;
-  if (buf.size() < 2 * n) buf.resize(2 * n);
-  return buf.data();
-}
-
-// Float32 twin of the scratch; separate thread_local so mixed-precision
-// callers on one thread don't evict each other's steady-state size.
-Complex32* tl_scratch32(std::size_t n) {
-  thread_local kernels::AlignedCVec32 buf;
+// the largest size a thread has used and is then allocation-free. One
+// buffer per lane type, so mixed-precision callers on one thread don't
+// evict each other's steady-state size.
+template <typename T>
+std::complex<T>* tl_scratch(std::size_t n) {
+  thread_local kernels::AlignedVec<std::complex<T>> buf;
   if (buf.size() < 2 * n) buf.resize(2 * n);
   return buf.data();
 }
@@ -45,29 +40,36 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
-FftPlan::FftPlan(std::size_t n) : n_(n) {
+template <typename T>
+BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
   FF_CHECK_MSG(is_power_of_two(n) && n >= 2, "FFT size must be a power of two >= 2, got " << n);
-  bitrev_.resize(n_);
-  std::size_t log2n = 0;
-  while ((std::size_t{1} << log2n) < n_) ++log2n;
-  for (std::size_t i = 0; i < n_; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < log2n; ++b)
-      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
-    bitrev_[i] = r;
-  }
-  twiddle_.resize(n_ / 2);
-  inv_twiddle_.resize(n_ / 2);
-  for (std::size_t k = 0; k < n_ / 2; ++k) {
-    const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n_);
-    twiddle_[k] = {std::cos(ang), std::sin(ang)};
-    inv_twiddle_[k] = std::conj(twiddle_[k]);
+  if constexpr (std::is_same_v<T, double>) {
+    bitrev_.resize(n_);
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n_) ++log2n;
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::size_t r = 0;
+      for (std::size_t b = 0; b < log2n; ++b)
+        if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
+      bitrev_[i] = r;
+    }
+    twiddle_.resize(n_ / 2);
+    inv_twiddle_.resize(n_ / 2);
+    for (std::size_t k = 0; k < n_ / 2; ++k) {
+      const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n_);
+      twiddle_[k] = {std::cos(ang), std::sin(ang)};
+      inv_twiddle_[k] = std::conj(twiddle_[k]);
+    }
   }
 
   // Mixed-radix Stockham schedule: decimate-in-frequency, radix 4 whenever
   // the remaining sub-transform length allows, one radix-2 stage otherwise
   // (exactly once, when log2(n) is odd — it lands last, where m is largest
-  // and the stage kernel vectorizes best).
+  // and the stage kernel vectorizes best). Angles are evaluated in double
+  // and rounded once to T.
+  const auto push_twiddle = [this](double ang) {
+    stage_tw_.push_back({static_cast<T>(std::cos(ang)), static_cast<T>(std::sin(ang))});
+  };
   std::size_t len = n_;
   std::size_t m = 1;
   while (len > 1) {
@@ -76,10 +78,10 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     stages_.push_back({radix, bf, m, stage_tw_.size()});
     for (std::size_t j = 0; j < bf; ++j) {
       const double base = -kTwoPi * static_cast<double>(j) / static_cast<double>(len);
-      stage_tw_.push_back({std::cos(base), std::sin(base)});
+      push_twiddle(base);
       if (radix == 4) {
-        stage_tw_.push_back({std::cos(2.0 * base), std::sin(2.0 * base)});
-        stage_tw_.push_back({std::cos(3.0 * base), std::sin(3.0 * base)});
+        push_twiddle(2.0 * base);
+        push_twiddle(3.0 * base);
       }
     }
     m *= radix;
@@ -90,32 +92,34 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     stage_tw_inv_[i] = std::conj(stage_tw_[i]);
 }
 
-const FftPlan& FftPlan::cached(std::size_t n) {
+template <typename T>
+const BasicFftPlan<T>& BasicFftPlan<T>::cached(std::size_t n) {
   // Plans are immutable, so only the map itself needs the lock; callers keep
   // using the returned plan lock-free. Entries live for the whole process.
   static std::mutex mutex;
-  static std::map<std::size_t, std::unique_ptr<FftPlan>>* cache =
-      new std::map<std::size_t, std::unique_ptr<FftPlan>>();
+  static std::map<std::size_t, std::unique_ptr<BasicFftPlan>>* cache =
+      new std::map<std::size_t, std::unique_ptr<BasicFftPlan>>();
   const std::lock_guard<std::mutex> lk(mutex);
   auto& slot = (*cache)[n];
-  if (!slot) slot = std::make_unique<FftPlan>(n);
+  if (!slot) slot = std::make_unique<BasicFftPlan>(n);
   return *slot;
 }
 
+template <typename T>
 template <bool kInvert>
-void FftPlan::transform_radix2(CMutSpan data) const {
+void BasicFftPlan<T>::transform_radix2(MutSpan data) const {
   FF_CHECK(data.size() == n_);
   for (std::size_t i = 0; i < n_; ++i)
     if (i < bitrev_[i]) std::swap(data[i], data[bitrev_[i]]);
 
-  const Complex* tw = kInvert ? inv_twiddle_.data() : twiddle_.data();
+  const Sample* tw = kInvert ? inv_twiddle_.data() : twiddle_.data();
   for (std::size_t len = 2; len <= n_; len <<= 1) {
     const std::size_t half = len / 2;
     const std::size_t stride = n_ / len;
     for (std::size_t start = 0; start < n_; start += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const Complex u = data[start + k];
-        const Complex v = data[start + k + half] * tw[k * stride];
+        const Sample u = data[start + k];
+        const Sample v = data[start + k + half] * tw[k * stride];
         data[start + k] = u + v;
         data[start + k + half] = u - v;
       }
@@ -123,16 +127,17 @@ void FftPlan::transform_radix2(CMutSpan data) const {
   }
 }
 
-void FftPlan::run_stages(const Complex* src, Complex* dst, Complex* scratch,
-                         bool invert) const {
+template <typename T>
+void BasicFftPlan<T>::run_stages(const Sample* src, Sample* dst, Sample* scratch,
+                                 bool invert) const {
   // Stage s writes dst when s has the same parity as the last stage, else
   // scratch — so the final stage always lands in dst with no trailing copy.
   const std::size_t last_parity = (stages_.size() - 1) % 2;
-  const Complex* tw_base = invert ? stage_tw_inv_.data() : stage_tw_.data();
+  const Sample* tw_base = invert ? stage_tw_inv_.data() : stage_tw_.data();
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     const Stage& st = stages_[s];
-    Complex* out = (s % 2 == last_parity) ? dst : scratch;
-    const Complex* tw = tw_base + st.tw_offset;
+    Sample* out = (s % 2 == last_parity) ? dst : scratch;
+    const Sample* tw = tw_base + st.tw_offset;
     if (st.radix == 4)
       kernels::radix4_stage(src, out, tw, st.butterflies, st.m, invert);
     else
@@ -141,37 +146,43 @@ void FftPlan::run_stages(const Complex* src, Complex* dst, Complex* scratch,
   }
 }
 
-void FftPlan::transform_stockham(CMutSpan data, bool invert) const {
+template <typename T>
+void BasicFftPlan<T>::transform_stockham(MutSpan data, bool invert) const {
   FF_CHECK(data.size() == n_);
-  Complex* scratch = tl_scratch(n_);
+  Sample* scratch = tl_scratch<T>(n_);
   if (stages_.size() % 2 == 1) {
     // Odd stage count: stage 0 would write `data` while reading it. Run
     // from a copy instead (the copy moves no arithmetic — bits unchanged).
-    Complex* staging = scratch + n_;
-    std::memcpy(staging, data.data(), n_ * sizeof(Complex));
+    Sample* staging = scratch + n_;
+    std::memcpy(staging, data.data(), n_ * sizeof(Sample));
     run_stages(staging, data.data(), scratch, invert);
   } else {
     run_stages(data.data(), data.data(), scratch, invert);
   }
 }
 
-void FftPlan::forward(CMutSpan data) const { transform_stockham(data, false); }
-
-void FftPlan::inverse(CMutSpan data) const {
-  transform_stockham(data, true);
-  kernels::scale_real(1.0 / static_cast<double>(n_), data, data);
+template <typename T>
+void BasicFftPlan<T>::forward(MutSpan data) const {
+  transform_stockham(data, false);
 }
 
-void FftPlan::execute_many(CSpan in, CMutSpan out, std::size_t count,
-                           bool invert) const {
+template <typename T>
+void BasicFftPlan<T>::inverse(MutSpan data) const {
+  transform_stockham(data, true);
+  kernels::scale_real(T{1} / static_cast<T>(n_), data, data);
+}
+
+template <typename T>
+void BasicFftPlan<T>::execute_many(Span in, MutSpan out, std::size_t count,
+                                   bool invert) const {
   FF_CHECK_MSG(in.size() == count * n_ && out.size() == count * n_,
                "execute_many: spans must hold count*n samples");
   const bool in_place = in.data() == out.data();
-  Complex* scratch = tl_scratch(n_);
-  const double inv_scale = 1.0 / static_cast<double>(n_);
+  Sample* scratch = tl_scratch<T>(n_);
+  const T inv_scale = T{1} / static_cast<T>(n_);
   for (std::size_t t = 0; t < count; ++t) {
-    const Complex* src = in.data() + t * n_;
-    CMutSpan dst{out.data() + t * n_, n_};
+    const Sample* src = in.data() + t * n_;
+    MutSpan dst{out.data() + t * n_, n_};
     if (in_place) {
       transform_stockham(dst, invert);
     } else {
@@ -181,106 +192,24 @@ void FftPlan::execute_many(CSpan in, CMutSpan out, std::size_t count,
   }
 }
 
-void FftPlan::forward_radix2(CMutSpan data) const { transform_radix2<false>(data); }
+template <typename T>
+void BasicFftPlan<T>::forward_radix2(MutSpan data) const
+  requires std::same_as<T, double>
+{
+  transform_radix2<false>(data);
+}
 
-void FftPlan::inverse_radix2(CMutSpan data) const {
+template <typename T>
+void BasicFftPlan<T>::inverse_radix2(MutSpan data) const
+  requires std::same_as<T, double>
+{
   transform_radix2<true>(data);
   const double scale = 1.0 / static_cast<double>(n_);
   for (auto& x : data) x *= scale;
 }
 
-FftPlan32::FftPlan32(std::size_t n) : n_(n) {
-  FF_CHECK_MSG(is_power_of_two(n) && n >= 2, "FFT size must be a power of two >= 2, got " << n);
-  // Same schedule as FftPlan; twiddle angles evaluated in double and
-  // narrowed once, so the f32 tables never depend on float libm variants.
-  std::size_t len = n_;
-  std::size_t m = 1;
-  while (len > 1) {
-    const std::size_t radix = (len % 4 == 0) ? 4 : 2;
-    const std::size_t bf = len / radix;
-    stages_.push_back({radix, bf, m, stage_tw_.size()});
-    for (std::size_t j = 0; j < bf; ++j) {
-      const double base = -kTwoPi * static_cast<double>(j) / static_cast<double>(len);
-      stage_tw_.push_back({static_cast<float>(std::cos(base)),
-                           static_cast<float>(std::sin(base))});
-      if (radix == 4) {
-        stage_tw_.push_back({static_cast<float>(std::cos(2.0 * base)),
-                             static_cast<float>(std::sin(2.0 * base))});
-        stage_tw_.push_back({static_cast<float>(std::cos(3.0 * base)),
-                             static_cast<float>(std::sin(3.0 * base))});
-      }
-    }
-    m *= radix;
-    len = bf;
-  }
-  stage_tw_inv_.resize(stage_tw_.size());
-  for (std::size_t i = 0; i < stage_tw_.size(); ++i)
-    stage_tw_inv_[i] = std::conj(stage_tw_[i]);
-}
-
-const FftPlan32& FftPlan32::cached(std::size_t n) {
-  static std::mutex mutex;
-  static std::map<std::size_t, std::unique_ptr<FftPlan32>>* cache =
-      new std::map<std::size_t, std::unique_ptr<FftPlan32>>();
-  const std::lock_guard<std::mutex> lk(mutex);
-  auto& slot = (*cache)[n];
-  if (!slot) slot = std::make_unique<FftPlan32>(n);
-  return *slot;
-}
-
-void FftPlan32::run_stages(const Complex32* src, Complex32* dst,
-                           Complex32* scratch, bool invert) const {
-  const std::size_t last_parity = (stages_.size() - 1) % 2;
-  const Complex32* tw_base = invert ? stage_tw_inv_.data() : stage_tw_.data();
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const Stage& st = stages_[s];
-    Complex32* out = (s % 2 == last_parity) ? dst : scratch;
-    const Complex32* tw = tw_base + st.tw_offset;
-    if (st.radix == 4)
-      kernels::radix4_stage(src, out, tw, st.butterflies, st.m, invert);
-    else
-      kernels::radix2_stage(src, out, tw, st.butterflies, st.m);
-    src = out;
-  }
-}
-
-void FftPlan32::transform_stockham(CMutSpan32 data, bool invert) const {
-  FF_CHECK(data.size() == n_);
-  Complex32* scratch = tl_scratch32(n_);
-  if (stages_.size() % 2 == 1) {
-    Complex32* staging = scratch + n_;
-    std::memcpy(staging, data.data(), n_ * sizeof(Complex32));
-    run_stages(staging, data.data(), scratch, invert);
-  } else {
-    run_stages(data.data(), data.data(), scratch, invert);
-  }
-}
-
-void FftPlan32::forward(CMutSpan32 data) const { transform_stockham(data, false); }
-
-void FftPlan32::inverse(CMutSpan32 data) const {
-  transform_stockham(data, true);
-  kernels::scale_real(1.0f / static_cast<float>(n_), data, data);
-}
-
-void FftPlan32::execute_many(CSpan32 in, CMutSpan32 out, std::size_t count,
-                             bool invert) const {
-  FF_CHECK_MSG(in.size() == count * n_ && out.size() == count * n_,
-               "execute_many: spans must hold count*n samples");
-  const bool in_place = in.data() == out.data();
-  Complex32* scratch = tl_scratch32(n_);
-  const float inv_scale = 1.0f / static_cast<float>(n_);
-  for (std::size_t t = 0; t < count; ++t) {
-    const Complex32* src = in.data() + t * n_;
-    CMutSpan32 dst{out.data() + t * n_, n_};
-    if (in_place) {
-      transform_stockham(dst, invert);
-    } else {
-      run_stages(src, dst.data(), scratch, invert);
-    }
-    if (invert) kernels::scale_real(inv_scale, dst, dst);
-  }
-}
+template class BasicFftPlan<double>;
+template class BasicFftPlan<float>;
 
 CVec fft(CSpan x) {
   FF_CHECK_MSG(!x.empty(), "fft: input must be non-empty");

@@ -4,11 +4,12 @@
 // Every IQ hot loop in the repository — FIR filtering, CFO rotation, FFT
 // butterflies, correlation sums, cancellation — bottoms out in a handful of
 // block primitives. This header is their single home: a scalar reference
-// implementation (namespace kernels::scalar, always compiled) plus SSE2 and
-// AVX2 paths (compiled when the FF_SIMD CMake option is ON, selected at
-// runtime via __builtin_cpu_supports). Callers use the dispatched free
-// functions; `active_isa()` reports which path is live so benchmarks and
-// telemetry can record it.
+// implementation (namespace kernels::scalar, always compiled; one template
+// per op over the lane type, instantiated for double and float) plus an AVX2
+// path (compiled when the FF_SIMD CMake option is ON, selected at runtime via
+// __builtin_cpu_supports). Callers use the dispatched free functions;
+// `active_isa()` reports which path is live so benchmarks and telemetry can
+// record it.
 //
 // The bitwise contract — the reason this layer can sit under the streaming
 // runtime's determinism guarantees:
@@ -38,11 +39,13 @@
 
 namespace ff::dsp::kernels {
 
-/// Instruction set the dispatched kernels are running on.
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Instruction set the dispatched kernels are running on. The values are
+/// the `ff.kernels.isa` gauge's; 1 belonged to the retired SSE2 path.
+enum class Isa { kScalar = 0, kAvx2 = 2 };
 
-/// The ISA resolved at process start: the widest compiled-in path the CPU
-/// supports, overridable downward with FF_KERNEL_ISA=scalar|sse2|avx2.
+/// The ISA resolved at process start: AVX2 when it is compiled in and the
+/// CPU has it, otherwise the scalar reference. A FF_SIMD=OFF build (the
+/// `release-nosimd` preset) always runs scalar.
 Isa active_isa();
 
 const char* isa_name(Isa isa);

@@ -7,6 +7,7 @@
 // addition is commutative bitwise), subtraction as addition of a negation
 // (exact), +/-i rotation as swap + sign flip (exact). Reductions keep the
 // fixed four-lane association. -ffp-contract=off pins out FMA fusion.
+#include "common/types.hpp"
 #include "dsp/kernels/kernels_detail.hpp"
 
 #if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
@@ -52,7 +53,7 @@ inline __m256d cmul2_conj(__m256d a, __m256d b) {
 void cmul_avx2(const Complex* a, const Complex* b, Complex* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) store2(out + i, cmul2(load2(a + i), load2(b + i)));
-  cmul_scalar(a + i, b + i, out + i, n - i);
+  Scalar<double>::cmul(a + i, b + i, out + i, n - i);
 }
 
 void cmac_avx2(const Complex* a, const Complex* b, Complex* acc, std::size_t n) {
@@ -61,7 +62,7 @@ void cmac_avx2(const Complex* a, const Complex* b, Complex* acc, std::size_t n) 
     const __m256d p = cmul2(load2(a + i), load2(b + i));
     store2(acc + i, _mm256_add_pd(load2(acc + i), p));
   }
-  cmac_scalar(a + i, b + i, acc + i, n - i);
+  Scalar<double>::cmac(a + i, b + i, acc + i, n - i);
 }
 
 void axpy_avx2(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
@@ -77,21 +78,21 @@ void axpy_avx2(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
     const __m256d p = cmul2(load2(x + i), av);
     store2(y + i, _mm256_add_pd(load2(y + i), p));
   }
-  axpy_scalar(alpha, x + i, y + i, n - i);
+  Scalar<double>::axpy(alpha, x + i, y + i, n - i);
 }
 
 void scale_avx2(Complex alpha, const Complex* x, Complex* out, std::size_t n) {
   const __m256d av = bcast(&alpha);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) store2(out + i, cmul2(load2(x + i), av));
-  scale_scalar(alpha, x + i, out + i, n - i);
+  Scalar<double>::scale(alpha, x + i, out + i, n - i);
 }
 
 void scale_real_avx2(double alpha, const Complex* x, Complex* out, std::size_t n) {
   const __m256d av = _mm256_set1_pd(alpha);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) store2(out + i, _mm256_mul_pd(load2(x + i), av));
-  scale_real_scalar(alpha, x + i, out + i, n - i);
+  Scalar<double>::scale_real(alpha, x + i, out + i, n - i);
 }
 
 Complex cdot_conj_avx2(const Complex* a, const Complex* b, std::size_t n) {
@@ -107,7 +108,7 @@ Complex cdot_conj_avx2(const Complex* a, const Complex* b, std::size_t n) {
   _mm_storeu_pd(reinterpret_cast<double*>(&lanes[1]), _mm256_extractf128_pd(v01, 1));
   _mm_storeu_pd(reinterpret_cast<double*>(&lanes[2]), _mm256_castpd256_pd128(v23));
   _mm_storeu_pd(reinterpret_cast<double*>(&lanes[3]), _mm256_extractf128_pd(v23, 1));
-  cdot_conj_tail(a, b, n4, n, lanes);
+  Scalar<double>::cdot_conj_tail(a, b, n4, n, lanes);
   const double re = (lanes[0].real() + lanes[1].real()) + (lanes[2].real() + lanes[3].real());
   const double im = (lanes[0].imag() + lanes[1].imag()) + (lanes[2].imag() + lanes[3].imag());
   return {re, im};
@@ -131,7 +132,7 @@ double magsq_accum_avx2(const Complex* x, std::size_t n) {
   alignas(32) double e[4];
   _mm256_store_pd(e, vacc);
   double lanes[4] = {e[0], e[2], e[1], e[3]};
-  magsq_accum_tail(x, n4, n, lanes);
+  Scalar<double>::magsq_accum_tail(x, n4, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
@@ -145,7 +146,7 @@ void split_avx2(const Complex* x, double* re, double* im, std::size_t n) {
     _mm256_storeu_pd(re + i, _mm256_permute4x64_pd(lo, 0xD8));  // [r0 r1 r2 r3]
     _mm256_storeu_pd(im + i, _mm256_permute4x64_pd(hi, 0xD8));
   }
-  split_scalar(x + i, re + i, im + i, n - i);
+  Scalar<double>::split(x + i, re + i, im + i, n - i);
 }
 
 void interleave_avx2(const double* re, const double* im, Complex* out, std::size_t n) {
@@ -156,13 +157,18 @@ void interleave_avx2(const double* re, const double* im, Complex* out, std::size
     store2(out + i, _mm256_unpacklo_pd(vr, vi));      // [r0 i0 r1 i1]
     store2(out + i + 2, _mm256_unpackhi_pd(vr, vi));  // [r2 i2 r3 i3]
   }
-  interleave_scalar(re + i, im + i, out + i, n - i);
+  Scalar<double>::interleave(re + i, im + i, out + i, n - i);
 }
+
+// The butterfly stages vectorize along k, two samples of one butterfly per
+// register. A stage whose m is not a multiple of that runs the scalar core
+// whole (bitwise identical by the scalar contract); for power-of-two sizes
+// that is only the first stage, m == 1.
 
 void radix2_stage_avx2(const Complex* src, Complex* dst, const Complex* tw,
                        std::size_t half, std::size_t m) {
-  if (m < 2) {
-    radix2_stage_scalar(src, dst, tw, half, m);
+  if (m % 2 != 0) {
+    Scalar<double>::radix2_stage(src, dst, tw, half, m);
     return;
   }
   for (std::size_t j = 0; j < half; ++j) {
@@ -171,29 +177,19 @@ void radix2_stage_avx2(const Complex* src, Complex* dst, const Complex* tw,
     const Complex* s1 = src + m * (j + half);
     Complex* d0 = dst + m * (2 * j);
     Complex* d1 = d0 + m;
-    std::size_t k = 0;
-    for (; k + 2 <= m; k += 2) {
+    for (std::size_t k = 0; k < m; k += 2) {
       const __m256d c0 = load2(s0 + k);
       const __m256d c1 = load2(s1 + k);
       store2(d0 + k, _mm256_add_pd(c0, c1));
       store2(d1 + k, cmul2(_mm256_sub_pd(c0, c1), w));
-    }
-    for (; k < m; ++k) {
-      const Complex c0 = s0[k];
-      const Complex c1 = s1[k];
-      d0[k] = {c0.real() + c1.real(), c0.imag() + c1.imag()};
-      d1[k] = cmul_one(tw[j], {c0.real() - c1.real(), c0.imag() - c1.imag()});
     }
   }
 }
 
 void radix4_stage_avx2(const Complex* src, Complex* dst, const Complex* tw,
                        std::size_t quarter, std::size_t m, bool invert) {
-  if (m < 2) {
-    // First Stockham stage (m == 1): strided single complexes; the 128-bit
-    // path in radix4_stage_scalar-compatible form isn't worth dedicated
-    // shuffles — delegate (bitwise identical by the scalar contract).
-    radix4_stage_scalar(src, dst, tw, quarter, m, invert);
+  if (m % 2 != 0) {
+    Scalar<double>::radix4_stage(src, dst, tw, quarter, m, invert);
     return;
   }
   // e3 = -i*t (forward): [t.im, -t.re]; +i*t (inverse): [-t.im, t.re].
@@ -212,8 +208,7 @@ void radix4_stage_avx2(const Complex* src, Complex* dst, const Complex* tw,
     Complex* d1 = d0 + m;
     Complex* d2 = d1 + m;
     Complex* d3 = d2 + m;
-    std::size_t k = 0;
-    for (; k + 2 <= m; k += 2) {
+    for (std::size_t k = 0; k < m; k += 2) {
       const __m256d c0 = load2(s0 + k), c1 = load2(s1 + k);
       const __m256d c2 = load2(s2 + k), c3 = load2(s3 + k);
       const __m256d e0 = _mm256_add_pd(c0, c2);
@@ -225,19 +220,6 @@ void radix4_stage_avx2(const Complex* src, Complex* dst, const Complex* tw,
       store2(d1 + k, cmul2(_mm256_add_pd(e1, e3), w1));
       store2(d2 + k, cmul2(_mm256_sub_pd(e0, e2), w2));
       store2(d3 + k, cmul2(_mm256_sub_pd(e1, e3), w3));
-    }
-    for (; k < m; ++k) {
-      const Complex c0 = s0[k], c1 = s1[k], c2 = s2[k], c3 = s3[k];
-      const Complex e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
-      const Complex e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
-      const Complex e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
-      const Complex t{c1.real() - c3.real(), c1.imag() - c3.imag()};
-      const Complex e3 = invert ? Complex{-t.imag(), t.real()}
-                                : Complex{t.imag(), -t.real()};
-      d0[k] = {e0.real() + e2.real(), e0.imag() + e2.imag()};
-      d1[k] = cmul_one(tw[3 * j], {e1.real() + e3.real(), e1.imag() + e3.imag()});
-      d2[k] = cmul_one(tw[3 * j + 1], {e0.real() - e2.real(), e0.imag() - e2.imag()});
-      d3[k] = cmul_one(tw[3 * j + 2], {e1.real() - e3.real(), e1.imag() - e3.imag()});
     }
   }
 }
@@ -284,7 +266,7 @@ inline __m256 cmul_conj4f(__m256 a, __m256 b) {
 void cmul_avx2_32(const Complex32* a, const Complex32* b, Complex32* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) store4f(out + i, cmul4f(load4f(a + i), load4f(b + i)));
-  cmul_scalar32(a + i, b + i, out + i, n - i);
+  Scalar<float>::cmul(a + i, b + i, out + i, n - i);
 }
 
 void cmac_avx2_32(const Complex32* a, const Complex32* b, Complex32* acc, std::size_t n) {
@@ -293,7 +275,7 @@ void cmac_avx2_32(const Complex32* a, const Complex32* b, Complex32* acc, std::s
     const __m256 p = cmul4f(load4f(a + i), load4f(b + i));
     store4f(acc + i, _mm256_add_ps(load4f(acc + i), p));
   }
-  cmac_scalar32(a + i, b + i, acc + i, n - i);
+  Scalar<float>::cmac(a + i, b + i, acc + i, n - i);
 }
 
 void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n) {
@@ -309,21 +291,21 @@ void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t
     const __m256 p = cmul4f(load4f(x + i), av);
     store4f(y + i, _mm256_add_ps(load4f(y + i), p));
   }
-  axpy_scalar32(alpha, x + i, y + i, n - i);
+  Scalar<float>::axpy(alpha, x + i, y + i, n - i);
 }
 
 void scale_avx2_32(Complex32 alpha, const Complex32* x, Complex32* out, std::size_t n) {
   const __m256 av = bcast1f(&alpha);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) store4f(out + i, cmul4f(load4f(x + i), av));
-  scale_scalar32(alpha, x + i, out + i, n - i);
+  Scalar<float>::scale(alpha, x + i, out + i, n - i);
 }
 
 void scale_real_avx2_32(float alpha, const Complex32* x, Complex32* out, std::size_t n) {
   const __m256 av = _mm256_set1_ps(alpha);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) store4f(out + i, _mm256_mul_ps(load4f(x + i), av));
-  scale_real_scalar32(alpha, x + i, out + i, n - i);
+  Scalar<float>::scale_real(alpha, x + i, out + i, n - i);
 }
 
 Complex32 cdot_conj_avx2_32(const Complex32* a, const Complex32* b, std::size_t n) {
@@ -336,7 +318,7 @@ Complex32 cdot_conj_avx2_32(const Complex32* a, const Complex32* b, std::size_t 
     vacc = _mm256_add_ps(vacc, cmul_conj4f(load4f(a + k), load4f(b + k)));
   Complex32 lanes[4];
   _mm256_storeu_ps(reinterpret_cast<float*>(lanes), vacc);
-  cdot_conj_tail32(a, b, n4, n, lanes);
+  Scalar<float>::cdot_conj_tail(a, b, n4, n, lanes);
   const float re = (lanes[0].real() + lanes[1].real()) + (lanes[2].real() + lanes[3].real());
   const float im = (lanes[0].imag() + lanes[1].imag()) + (lanes[2].imag() + lanes[3].imag());
   return {re, im};
@@ -359,7 +341,7 @@ float magsq_accum_avx2_32(const Complex32* x, std::size_t n) {
   }
   float lanes[4];
   _mm_storeu_ps(lanes, vacc);
-  magsq_accum_tail32(x, n4, n, lanes);
+  Scalar<float>::magsq_accum_tail(x, n4, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
@@ -373,7 +355,7 @@ void split_avx2_32(const Complex32* x, float* re, float* im, std::size_t n) {
     _mm256_storeu_ps(re + i, _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(lo), 0xD8)));
     _mm256_storeu_ps(im + i, _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(hi), 0xD8)));
   }
-  split_scalar32(x + i, re + i, im + i, n - i);
+  Scalar<float>::split(x + i, re + i, im + i, n - i);
 }
 
 void interleave_avx2_32(const float* re, const float* im, Complex32* out, std::size_t n) {
@@ -386,13 +368,16 @@ void interleave_avx2_32(const float* re, const float* im, Complex32* out, std::s
     store4f(out + i, _mm256_unpacklo_ps(vr, vi));      // [r0 i0 r1 i1 | r2 i2 r3 i3]
     store4f(out + i + 4, _mm256_unpackhi_ps(vr, vi));  // [r4 i4 r5 i5 | r6 i6 r7 i7]
   }
-  interleave_scalar32(re + i, im + i, out + i, n - i);
+  Scalar<float>::interleave(re + i, im + i, out + i, n - i);
 }
+
+// Same stage structure as the f64 path with four samples per register, so
+// a stage whose m is not a multiple of four runs the scalar core whole.
 
 void radix2_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32* tw,
                           std::size_t half, std::size_t m) {
-  if (m < 4) {
-    radix2_stage_scalar32(src, dst, tw, half, m);
+  if (m % 4 != 0) {
+    Scalar<float>::radix2_stage(src, dst, tw, half, m);
     return;
   }
   for (std::size_t j = 0; j < half; ++j) {
@@ -401,24 +386,23 @@ void radix2_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32*
     const Complex32* s1 = src + m * (j + half);
     Complex32* d0 = dst + m * (2 * j);
     Complex32* d1 = d0 + m;
-    std::size_t k = 0;
-    for (; k + 4 <= m; k += 4) {
+    for (std::size_t k = 0; k < m; k += 4) {
       const __m256 c0 = load4f(s0 + k);
       const __m256 c1 = load4f(s1 + k);
       store4f(d0 + k, _mm256_add_ps(c0, c1));
       store4f(d1 + k, cmul4f(_mm256_sub_ps(c0, c1), w));
-    }
-    for (; k < m; ++k) {
-      const Complex32 c0 = s0[k];
-      const Complex32 c1 = s1[k];
-      d0[k] = {c0.real() + c1.real(), c0.imag() + c1.imag()};
-      d1[k] = cmul_one32(tw[j], {c0.real() - c1.real(), c0.imag() - c1.imag()});
     }
   }
 }
 
 void radix4_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32* tw,
                           std::size_t quarter, std::size_t m, bool invert) {
+  // The first stage (m == 1) vectorizes across butterflies instead, so
+  // there it is `quarter` that must fill whole registers.
+  if ((m == 1 ? quarter : m) % 4 != 0) {
+    Scalar<float>::radix4_stage(src, dst, tw, quarter, m, invert);
+    return;
+  }
   const __m256 fwd_mask = _mm256_set_ps(-0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f);
   const __m256 inv_mask = _mm256_set_ps(0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f);
   const __m256 rot = invert ? inv_mask : fwd_mask;
@@ -430,8 +414,7 @@ void radix4_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32*
     // dst[4j .. 4j+15]. Every lane computes the scalar butterfly formula
     // with the same per-op rounding, so the bitwise contract holds.
     const __m256i idx3 = _mm256_setr_epi64x(0, 3, 6, 9);
-    std::size_t j = 0;
-    for (; j + 4 <= quarter; j += 4) {
+    for (std::size_t j = 0; j < quarter; j += 4) {
       const __m256 c0 = load4f(src + j);
       const __m256 c1 = load4f(src + quarter + j);
       const __m256 c2 = load4f(src + 2 * quarter + j);
@@ -458,26 +441,6 @@ void radix4_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32*
       store4f(dst + 4 * j + 8, _mm256_castpd_ps(_mm256_permute2f128_pd(lo01, lo23, 0x31)));
       store4f(dst + 4 * j + 12, _mm256_castpd_ps(_mm256_permute2f128_pd(hi01, hi23, 0x31)));
     }
-    for (; j < quarter; ++j) {
-      const Complex32 c0 = src[j], c1 = src[quarter + j];
-      const Complex32 c2 = src[2 * quarter + j], c3 = src[3 * quarter + j];
-      const Complex32 e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
-      const Complex32 e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
-      const Complex32 e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
-      const Complex32 t{c1.real() - c3.real(), c1.imag() - c3.imag()};
-      const Complex32 e3 = invert ? Complex32{-t.imag(), t.real()}
-                                  : Complex32{t.imag(), -t.real()};
-      dst[4 * j] = {e0.real() + e2.real(), e0.imag() + e2.imag()};
-      dst[4 * j + 1] = cmul_one32(tw[3 * j], {e1.real() + e3.real(), e1.imag() + e3.imag()});
-      dst[4 * j + 2] = cmul_one32(tw[3 * j + 1], {e0.real() - e2.real(), e0.imag() - e2.imag()});
-      dst[4 * j + 3] = cmul_one32(tw[3 * j + 2], {e1.real() - e3.real(), e1.imag() - e3.imag()});
-    }
-    return;
-  }
-  if (m < 4) {
-    // m == 2 never occurs in the mixed-radix schedule (m multiplies by 4
-    // from 1); delegate anyway so the kernel stays total.
-    radix4_stage_scalar32(src, dst, tw, quarter, m, invert);
     return;
   }
   for (std::size_t j = 0; j < quarter; ++j) {
@@ -492,8 +455,7 @@ void radix4_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32*
     Complex32* d1 = d0 + m;
     Complex32* d2 = d1 + m;
     Complex32* d3 = d2 + m;
-    std::size_t k = 0;
-    for (; k + 4 <= m; k += 4) {
+    for (std::size_t k = 0; k < m; k += 4) {
       const __m256 c0 = load4f(s0 + k), c1 = load4f(s1 + k);
       const __m256 c2 = load4f(s2 + k), c3 = load4f(s3 + k);
       const __m256 e0 = _mm256_add_ps(c0, c2);
@@ -506,30 +468,25 @@ void radix4_stage_avx2_32(const Complex32* src, Complex32* dst, const Complex32*
       store4f(d2 + k, cmul4f(_mm256_sub_ps(e0, e2), w2));
       store4f(d3 + k, cmul4f(_mm256_sub_ps(e1, e3), w3));
     }
-    for (; k < m; ++k) {
-      const Complex32 c0 = s0[k], c1 = s1[k], c2 = s2[k], c3 = s3[k];
-      const Complex32 e0{c0.real() + c2.real(), c0.imag() + c2.imag()};
-      const Complex32 e1{c0.real() - c2.real(), c0.imag() - c2.imag()};
-      const Complex32 e2{c1.real() + c3.real(), c1.imag() + c3.imag()};
-      const Complex32 t{c1.real() - c3.real(), c1.imag() - c3.imag()};
-      const Complex32 e3 = invert ? Complex32{-t.imag(), t.real()}
-                                  : Complex32{t.imag(), -t.real()};
-      d0[k] = {e0.real() + e2.real(), e0.imag() + e2.imag()};
-      d1[k] = cmul_one32(tw[3 * j], {e1.real() + e3.real(), e1.imag() + e3.imag()});
-      d2[k] = cmul_one32(tw[3 * j + 1], {e0.real() - e2.real(), e0.imag() - e2.imag()});
-      d3[k] = cmul_one32(tw[3 * j + 2], {e1.real() - e3.real(), e1.imag() - e3.imag()});
-    }
   }
 }
 
 }  // namespace
 
-const KernelOps& avx2_ops() {
-  static const KernelOps ops = {
+template <>
+const KernelOps<double>& avx2_ops() {
+  static const KernelOps<double> ops = {
       &cmul_avx2,     &cmac_avx2,        &axpy_avx2,
       &scale_avx2,    &scale_real_avx2,  &cdot_conj_avx2,
       &magsq_accum_avx2, &split_avx2,    &interleave_avx2,
       &radix2_stage_avx2, &radix4_stage_avx2,
+  };
+  return ops;
+}
+
+template <>
+const KernelOps<float>& avx2_ops() {
+  static const KernelOps<float> ops = {
       &cmul_avx2_32,  &cmac_avx2_32,     &axpy_avx2_32,
       &scale_avx2_32, &scale_real_avx2_32, &cdot_conj_avx2_32,
       &magsq_accum_avx2_32, &split_avx2_32, &interleave_avx2_32,

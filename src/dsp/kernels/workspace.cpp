@@ -2,52 +2,43 @@
 
 namespace ff::dsp::kernels {
 
-CMutSpan Workspace::get(std::size_t slot, std::size_t n) {
-  if (slot >= slots_.size()) {
-    slots_.resize(slot + 1);
-    ++grows_;
+template <typename T>
+std::span<std::complex<T>> Workspace::get(std::size_t slot, std::size_t n) {
+  Slots<T>& s = std::get<Slots<T>>(slots_);
+  if (slot >= s.bufs.size()) {
+    s.bufs.resize(slot + 1);
+    ++s.grows;
   }
-  AlignedCVec& buf = slots_[slot];
+  AlignedVec<std::complex<T>>& buf = s.bufs[slot];
   if (buf.size() < n) {
     // Slot growth invalidates previous spans of THIS slot only: the
-    // AlignedCVec objects may move when slots_ reallocates, but their heap
+    // AlignedVec objects may move when bufs reallocates, but their heap
     // storage (what the spans point at) does not.
     buf.resize(n);
-    ++grows_;
+    ++s.grows;
   }
-  return CMutSpan{buf.data(), n};
+  return {buf.data(), n};
 }
 
-CMutSpan32 Workspace::get_f32(std::size_t slot, std::size_t n) {
-  if (slot >= slots_f32_.size()) {
-    slots_f32_.resize(slot + 1);
-    ++grows_f32_;
-  }
-  AlignedCVec32& buf = slots_f32_[slot];
-  if (buf.size() < n) {
-    buf.resize(n);
-    ++grows_f32_;
-  }
-  return CMutSpan32{buf.data(), n};
-}
-
+template <typename T>
 std::size_t Workspace::bytes() const {
-  std::size_t total = bytes_f32();
-  for (const auto& s : slots_) total += s.capacity() * sizeof(Complex);
-  return total;
-}
-
-std::size_t Workspace::bytes_f32() const {
   std::size_t total = 0;
-  for (const auto& s : slots_f32_) total += s.capacity() * sizeof(Complex32);
+  for (const auto& b : std::get<Slots<T>>(slots_).bufs)
+    total += b.capacity() * sizeof(std::complex<T>);
   return total;
 }
 
 void Workspace::release() {
-  slots_.clear();
-  slots_.shrink_to_fit();
-  slots_f32_.clear();
-  slots_f32_.shrink_to_fit();
+  auto& [f64, f32] = slots_;
+  f64.bufs.clear();
+  f64.bufs.shrink_to_fit();
+  f32.bufs.clear();
+  f32.bufs.shrink_to_fit();
 }
+
+template std::span<Complex> Workspace::get<double>(std::size_t, std::size_t);
+template std::span<Complex32> Workspace::get<float>(std::size_t, std::size_t);
+template std::size_t Workspace::bytes<double>() const;
+template std::size_t Workspace::bytes<float>() const;
 
 }  // namespace ff::dsp::kernels

@@ -9,16 +9,19 @@
 // steady state is allocation-free (tests/kernels_test.cpp additionally
 // asserts it with an operator-new hook).
 //
-// Slots are independent buffers: a span returned by `get(slot, n)` stays
-// valid until the SAME slot is requested with a larger n. Callers that
-// nest (e.g. CancellerElement holding slot-1/2 outputs across
-// FirFilter::process_into, which uses slot 0 internally) rely on that.
+// Slots are independent buffers: a span returned by `get<T>(slot, n)` stays
+// valid until the SAME slot of the same lane type is requested with a
+// larger n. Callers that nest (e.g. CancellerElement holding slot-1/2
+// outputs across FirFilter::process_into, which uses slot 0 internally)
+// rely on that.
 // Workspace is not thread-safe; one per owning element/pipeline.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/types.hpp"
@@ -55,43 +58,45 @@ struct AlignedAllocator {
   }
 };
 
-/// 64-byte-aligned complex vector: twiddle tables, FFT scratch, workspaces.
-using AlignedCVec = std::vector<Complex, AlignedAllocator<Complex>>;
-
-/// Float32 twin, for the f32 kernel family's tables and scratch.
-using AlignedCVec32 = std::vector<Complex32, AlignedAllocator<Complex32>>;
+/// 64-byte-aligned vector: twiddle tables, FFT scratch, workspaces.
+template <typename Sample>
+using AlignedVec = std::vector<Sample, AlignedAllocator<Sample>>;
+using AlignedCVec = AlignedVec<Complex>;
+using AlignedCVec32 = AlignedVec<Complex32>;
 
 class Workspace {
  public:
-  /// Aligned scratch span of `n` complexes for `slot`; contents are
-  /// unspecified (callers overwrite). Grows the slot if needed — steady
-  /// state performs no allocation.
-  CMutSpan get(std::size_t slot, std::size_t n);
+  /// Aligned scratch span of `n` complex<T> samples for `slot`; contents
+  /// are unspecified (callers overwrite). Grows the slot if needed — steady
+  /// state performs no allocation. Each lane type T (double, the default,
+  /// or float) has its own slot namespace: get<float>(0, n) and get(0, n)
+  /// are distinct buffers, so mixed-precision stages can hold spans of both
+  /// without aliasing.
+  template <typename T = double>
+  std::span<std::complex<T>> get(std::size_t slot, std::size_t n);
 
-  /// Float32 twin of get(): a separate slot namespace (f32 slot 0 and f64
-  /// slot 0 are distinct buffers), so mixed-precision stages can hold spans
-  /// of both without aliasing. Growth is tracked separately — the
-  /// `ff.alloc.workspace_f32_*` telemetry.
-  CMutSpan32 get_f32(std::size_t slot, std::size_t n);
+  /// Number of allocations performed so far by the lane-type-T slots (slot
+  /// growth events) — the `ff.alloc.workspace_grows` and
+  /// `ff.alloc.workspace_f32_grows` telemetry.
+  template <typename T = double>
+  std::uint64_t grows() const {
+    return std::get<Slots<T>>(slots_).grows;
+  }
 
-  /// Number of allocations performed so far (slot growth events).
-  std::uint64_t grows() const { return grows_; }
-  /// Growth events of the float32 slots alone.
-  std::uint64_t grows_f32() const { return grows_f32_; }
-
-  /// Total bytes currently held across slots (both precisions).
+  /// Total bytes currently held by the lane-type-T slots.
+  template <typename T = double>
   std::size_t bytes() const;
-  /// Bytes held by the float32 slots alone.
-  std::size_t bytes_f32() const;
 
-  /// Drop all slots (allocation counters are preserved).
+  /// Drop all slots of both lane types (allocation counters are preserved).
   void release();
 
  private:
-  std::vector<AlignedCVec> slots_;
-  std::vector<AlignedCVec32> slots_f32_;
-  std::uint64_t grows_ = 0;
-  std::uint64_t grows_f32_ = 0;
+  template <typename T>
+  struct Slots {
+    std::vector<AlignedVec<std::complex<T>>> bufs;
+    std::uint64_t grows = 0;
+  };
+  std::tuple<Slots<double>, Slots<float>> slots_;
 };
 
 }  // namespace ff::dsp::kernels

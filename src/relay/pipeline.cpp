@@ -1,6 +1,7 @@
 #include "relay/pipeline.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/telemetry.hpp"
@@ -9,20 +10,25 @@
 
 namespace ff::relay {
 
+namespace {
+
+CVec tx_taps(const PipelineConfig& cfg) {
+  return cfg.tx_filter.empty() ? CVec{Complex{1.0, 0.0}} : cfg.tx_filter;
+}
+
+}  // namespace
+
 ForwardPipeline::ForwardPipeline(PipelineConfig cfg)
     : cfg_(std::move(cfg)),
       cfo_remove_(-cfg_.cfo_hz, cfg_.sample_rate_hz),
       cfo_restore_(cfg_.restore_cfo ? cfg_.cfo_hz : 0.0, cfg_.sample_rate_hz),
-      prefilter_(cfg_.prefilter),
-      tx_filter_(cfg_.tx_filter.empty() ? CVec{Complex{1.0, 0.0}} : cfg_.tx_filter),
-      prefilter32_(dsp::kernels::narrowed(cfg_.prefilter)),
-      tx_filter32_(dsp::kernels::narrowed(
-          cfg_.tx_filter.empty() ? CVec{Complex{1.0, 0.0}} : cfg_.tx_filter)),
-      delay_line_(std::max<std::size_t>(delay_fifo_len(), 1), Complex{}),
-      gain_linear_(amplitude_from_db(cfg_.gain_db)),
-      gain_rotation_(gain_linear_ * cfg_.analog_rotation),
-      gain_rotation32_(static_cast<float>(gain_rotation_.real()),
-                       static_cast<float>(gain_rotation_.imag())) {
+      f64_{dsp::FirFilter(cfg_.prefilter), dsp::FirFilter(tx_taps(cfg_)),
+           amplitude_from_db(cfg_.gain_db) * cfg_.analog_rotation},
+      f32_{dsp::FirFilter32(dsp::kernels::narrowed(cfg_.prefilter)),
+           dsp::FirFilter32(dsp::kernels::narrowed(tx_taps(cfg_))),
+           {static_cast<float>(f64_.gain_rotation.real()),
+            static_cast<float>(f64_.gain_rotation.imag())}},
+      delay_line_(std::max<std::size_t>(delay_fifo_len(), 1), Complex{}) {
   FF_CHECK(!cfg_.prefilter.empty());
   FF_CHECK_MSG(std::isfinite(cfg_.sample_rate_hz) && cfg_.sample_rate_hz > 0.0,
                "PipelineConfig.sample_rate_hz must be positive and finite, got "
@@ -70,37 +76,6 @@ double ForwardPipeline::max_delay_s() const {
          cfg_.sample_rate_hz;
 }
 
-Complex ForwardPipeline::push(Complex rx) {
-  if (cfg_.precision == Precision::kF32) {
-    // The f32 path is block-formulated (convert once, run the f32 stages,
-    // convert back); a push is a 1-sample block. Identical bits to any other
-    // blocking of the stream — the block-size invariance contract.
-    Complex out;
-    process_into(CSpan{&rx, 1}, CMutSpan{&out, 1});
-    return out;
-  }
-  if (cfg_.scrub_nonfinite &&
-      (!std::isfinite(rx.real()) || !std::isfinite(rx.imag()))) {
-    rx = Complex{};
-    ++scrubbed_;
-  }
-  // CFO remove -> digital CNF -> CFO restore -> amplify -> analog CNF
-  // -> DAC/TX reconstruction filter.
-  Complex s = cfo_remove_.push(rx);
-  s = prefilter_.push(s);
-  s = cfo_restore_.push(s);
-  s *= gain_rotation_;
-  if (!cfg_.tx_filter.empty()) s = tx_filter_.push(s);
-
-  // Remaining bulk delay FIFO (converter latency when no TX filter models
-  // it, plus any artificial buffering).
-  if (delay_fifo_len() == 0) return s;
-  const Complex out = delay_line_[delay_pos_];
-  delay_line_[delay_pos_] = s;
-  delay_pos_ = (delay_pos_ + 1) % delay_line_.size();
-  return out;
-}
-
 CVec ForwardPipeline::process(CSpan rx) {
   CVec out(rx.size());
   process_into(rx, out);
@@ -112,91 +87,49 @@ void ForwardPipeline::process_into(CSpan rx, CMutSpan out) {
                "ForwardPipeline::process_into needs out.size() == rx.size(), got "
                    << out.size() << " vs " << rx.size());
   const std::uint64_t scrubbed_before = scrubbed_;
-  const std::size_t n = rx.size();
-  if (n > 0 && cfg_.precision == Precision::kF32) {
-    process_into_f32(rx, out);
-  } else if (n > 0) {
-    // Stage-wise over the block. Every stage is causal (sample i of a
-    // stage's output depends only on samples <= i of its input), so running
-    // the stages block-at-a-time instead of interleaved per sample moves no
-    // arithmetic and changes no bits relative to push().
-    if (cfg_.scrub_nonfinite) {
-      for (std::size_t i = 0; i < n; ++i) {
-        Complex v = rx[i];
-        if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
-          v = Complex{};
-          ++scrubbed_;
-        }
-        out[i] = v;
-      }
-    } else if (out.data() != rx.data()) {
-      std::copy(rx.begin(), rx.end(), out.begin());
-    }
-    cfo_remove_.process_into(out, out, ws_);
-    prefilter_.process_into(out, out, ws_);
-    cfo_restore_.process_into(out, out, ws_);
-    dsp::kernels::scale(gain_rotation_, out, out);
-    if (!cfg_.tx_filter.empty()) tx_filter_.process_into(out, out, ws_);
-    if (delay_fifo_len() > 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const Complex s = out[i];
-        out[i] = delay_line_[delay_pos_];
-        delay_line_[delay_pos_] = s;
-        ++delay_pos_;
-        if (delay_pos_ == delay_line_.size()) delay_pos_ = 0;
-      }
-    }
+  if (!rx.empty()) {
+    if (cfg_.precision == Precision::kF32)
+      run(rx, out, f32_);
+    else
+      run(rx, out, f64_);
   }
   // Counted per batch, not per sample: the hot loops stay metrics-free.
   metrics::add(cfg_.metrics, "relay.pipeline.samples", rx.size());
   if (scrubbed_ > scrubbed_before)
     metrics::add(cfg_.metrics, "relay.pipeline.scrubbed", scrubbed_ - scrubbed_before);
-  if (cfg_.metrics && ws_.grows() > ws_grows_reported_) {
-    // Workspace growth only ever happens in the first blocks; a quiet
-    // ff.alloc.workspace_grows counter is the telemetry proof that the
-    // steady-state path performs zero heap allocations.
-    metrics::add(cfg_.metrics, "ff.alloc.workspace_grows",
-                 ws_.grows() - ws_grows_reported_);
-    ws_grows_reported_ = ws_.grows();
-    metrics::set(cfg_.metrics, "ff.alloc.workspace_bytes",
-                 static_cast<double>(ws_.bytes()));
-  }
-  if (cfg_.metrics && ws_.grows_f32() > ws_f32_grows_reported_) {
-    // Same proof for the float32 slots (non-zero only in kF32 mode).
-    metrics::add(cfg_.metrics, "ff.alloc.workspace_f32_grows",
-                 ws_.grows_f32() - ws_f32_grows_reported_);
-    ws_f32_grows_reported_ = ws_.grows_f32();
-    metrics::set(cfg_.metrics, "ff.alloc.workspace_f32_bytes",
-                 static_cast<double>(ws_.bytes_f32()));
-  }
 }
 
-void ForwardPipeline::process_into_f32(CSpan rx, CMutSpan out) {
-  // Convert once at the edges, stay f32 inside. The stage sequence, the
-  // scrub rule and the delay FIFO are those of the f64 path; scrubbing and
-  // the FIFO run on the double-width values (the scrub test must see the
-  // original sample; the FIFO is a pure shuffle and widen() is exact, so
-  // running it after the widening edge moves no arithmetic into f32).
+template <typename T>
+void ForwardPipeline::run(CSpan rx, CMutSpan out, Lane<T>& lane) {
+  // Stage-wise over the block. Every stage is causal (sample i of a stage's
+  // output depends only on samples <= i of its input), so where the block
+  // boundaries fall moves no arithmetic and changes no bits.
+  //
+  // Below double width the block converts once at the edges and stays
+  // narrow inside. Scrubbing and the FIFO run on the double-width values:
+  // the scrub test must see the original sample, and the FIFO is a pure
+  // shuffle after an exact widen(), so no arithmetic moves into f32.
+  constexpr bool kNarrow = !std::is_same_v<T, double>;
   const std::size_t n = rx.size();
-  CMutSpan32 buf = ws_.get_f32(1, n);  // slot 0 is per-stage scratch
-  if (cfg_.scrub_nonfinite) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Complex v = rx[i];
-      if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
-        v = Complex{};
-        ++scrubbed_;
-      }
-      buf[i] = {static_cast<float>(v.real()), static_cast<float>(v.imag())};
+  std::span<std::complex<T>> buf;
+  if constexpr (kNarrow)
+    buf = ws_.get<T>(1, n);  // slot 0 is per-stage scratch
+  else
+    buf = out;
+  for (std::size_t i = 0; i < n; ++i) {
+    Complex v = rx[i];
+    if (cfg_.scrub_nonfinite && (!std::isfinite(v.real()) || !std::isfinite(v.imag()))) {
+      v = Complex{};
+      ++scrubbed_;
     }
-  } else {
-    dsp::kernels::narrow(rx, buf);
+    buf[i] = {static_cast<T>(v.real()), static_cast<T>(v.imag())};
   }
   cfo_remove_.process_into(buf, buf, ws_);
-  prefilter32_.process_into(buf, buf, ws_);
+  lane.prefilter.process_into(buf, buf, ws_);
   cfo_restore_.process_into(buf, buf, ws_);
-  dsp::kernels::scale(gain_rotation32_, buf, buf);
-  if (!cfg_.tx_filter.empty()) tx_filter32_.process_into(buf, buf, ws_);
-  dsp::kernels::widen(buf, out);
+  dsp::kernels::scale(lane.gain_rotation, buf, buf);
+  if (!cfg_.tx_filter.empty()) lane.tx_filter.process_into(buf, buf, ws_);
+  if constexpr (kNarrow) dsp::kernels::widen(buf, out);
   if (delay_fifo_len() > 0) {
     for (std::size_t i = 0; i < n; ++i) {
       const Complex s = out[i];
@@ -206,15 +139,27 @@ void ForwardPipeline::process_into_f32(CSpan rx, CMutSpan out) {
       if (delay_pos_ == delay_line_.size()) delay_pos_ = 0;
     }
   }
+  if (cfg_.metrics && ws_.grows<T>() > lane.ws_grows_reported) {
+    // Workspace growth only ever happens in the first blocks; a quiet
+    // ff.alloc.workspace_grows (or _f32_grows) counter is the telemetry
+    // proof that the steady-state path performs zero heap allocations.
+    metrics::add(cfg_.metrics,
+                 kNarrow ? "ff.alloc.workspace_f32_grows" : "ff.alloc.workspace_grows",
+                 ws_.grows<T>() - lane.ws_grows_reported);
+    lane.ws_grows_reported = ws_.grows<T>();
+    metrics::set(cfg_.metrics,
+                 kNarrow ? "ff.alloc.workspace_f32_bytes" : "ff.alloc.workspace_bytes",
+                 static_cast<double>(ws_.bytes<T>()));
+  }
 }
 
 void ForwardPipeline::reset() {
   cfo_remove_.reset();
   cfo_restore_.reset();
-  prefilter_.reset();
-  tx_filter_.reset();
-  prefilter32_.reset();
-  tx_filter32_.reset();
+  f64_.prefilter.reset();
+  f64_.tx_filter.reset();
+  f32_.prefilter.reset();
+  f32_.tx_filter.reset();
   std::fill(delay_line_.begin(), delay_line_.end(), Complex{});
   delay_pos_ = 0;
   // A reset pipeline should report like a fresh one; leaving the scrub count

@@ -64,8 +64,8 @@ struct PipelineConfig {
   Precision precision = Precision::kF64;
 };
 
-/// Streaming forward-path processor. Push received (already SI-cancelled)
-/// samples, get transmit samples with all latencies applied.
+/// Streaming forward-path processor. Feed blocks of received (already
+/// SI-cancelled) samples, get transmit samples with all latencies applied.
 class ForwardPipeline {
  public:
   explicit ForwardPipeline(PipelineConfig cfg);
@@ -82,7 +82,6 @@ class ForwardPipeline {
   /// bulk delay plus the last pre-filter tap.
   double max_delay_s() const;
 
-  Complex push(Complex rx);
   CVec process(CSpan rx);
 
   /// Process a block into a caller-owned buffer (stateful). `out` must be
@@ -90,12 +89,11 @@ class ForwardPipeline {
   /// allocation-free block path. Metrics accounting matches process().
   ///
   /// Runs stage-wise over the block (scrub, CFO remove, prefilter, CFO
-  /// restore, gain+rotation, TX filter, delay FIFO) with every stage's
-  /// vectorized block op bit-identical to its per-sample push() — the
-  /// stages are causal, so stage-wise and sample-interleaved orders produce
-  /// the same bits. Scratch comes from the pipeline-owned Workspace; after
-  /// warmup no heap allocation happens here (`ff.alloc.*` telemetry and
-  /// tests/kernels_test.cpp hold that).
+  /// restore, gain+rotation, TX filter, delay FIFO). The stages are causal,
+  /// so the output is bit-identical at any block size, down to one sample
+  /// (tests/stream_test.cpp pins that). Scratch comes from the
+  /// pipeline-owned Workspace; after warmup no heap allocation happens here
+  /// (`ff.alloc.*` telemetry and tests/kernels_test.cpp hold that).
   void process_into(CSpan rx, CMutSpan out);
 
   /// Non-finite input samples zeroed so far (see PipelineConfig::scrub_nonfinite).
@@ -114,29 +112,32 @@ class ForwardPipeline {
   void reset();
 
  private:
+  // The stages that hold samples at the forward path's arithmetic width T.
+  // Both widths are built at construction (a one-time tap narrow), so
+  // precision never changes filter state layout; cfg_.precision picks the
+  // one that runs.
+  template <typename T>
+  struct Lane {
+    dsp::BasicFirFilter<T> prefilter;
+    dsp::BasicFirFilter<T> tx_filter;
+    std::complex<T> gain_rotation;  // gain * analog_rotation, precomputed
+    std::uint64_t ws_grows_reported = 0;  // ff.alloc.* telemetry watermark
+  };
+
   std::size_t delay_fifo_len() const;
 
-  void process_into_f32(CSpan rx, CMutSpan out);
+  template <typename T>
+  void run(CSpan rx, CMutSpan out, Lane<T>& lane);
 
   PipelineConfig cfg_;
   channel::CfoRotator cfo_remove_;
   channel::CfoRotator cfo_restore_;
-  dsp::FirFilter prefilter_;
-  dsp::FirFilter tx_filter_;
-  // Float32 twins of the FIR stages (used only when precision == kF32;
-  // construction is a one-time tap narrow, so both precisions always exist
-  // and precision never changes filter state layout).
-  dsp::FirFilter32 prefilter32_;
-  dsp::FirFilter32 tx_filter32_;
+  Lane<double> f64_;
+  Lane<float> f32_;
   CVec delay_line_;      // bulk delay FIFO
   std::size_t delay_pos_ = 0;
-  double gain_linear_;
-  Complex gain_rotation_;  // gain_linear_ * analog_rotation, precomputed
-  Complex32 gain_rotation32_;
   std::uint64_t scrubbed_ = 0;
   dsp::kernels::Workspace ws_;  // shared scratch for all block stages
-  std::uint64_t ws_grows_reported_ = 0;  // ff.alloc.* telemetry watermark
-  std::uint64_t ws_f32_grows_reported_ = 0;
 };
 
 }  // namespace ff::relay

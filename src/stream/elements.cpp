@@ -186,7 +186,7 @@ void CfoElement::process(Block& block) {
     // Convert once at the edges, rotate in f32 (slot 0 is the rotator's
     // phasor table, slot 1 the sample buffer).
     CMutSpan samples{block.samples.data(), block.samples.size()};
-    CMutSpan32 s32 = ws_.get_f32(1, samples.size());
+    CMutSpan32 s32 = ws_.get<float>(1, samples.size());
     dsp::kernels::narrow(samples, s32);
     rot_.process_into(s32, s32, ws_);
     dsp::kernels::widen(s32, samples);
@@ -350,7 +350,7 @@ void ChannelElement::process(Block& block) {
       // float32 prices for its noise, and the f32 checksum family pins the
       // result. Draws are still consumed per-sample in stream order, so
       // the f32 stream is invariant to blocking for the same reason kF64 is.
-      CMutSpan32 seg32 = ws_.get_f32(1, chunk);  // f32 slot 0 = FIR scratch
+      CMutSpan32 seg32 = ws_.get<float>(1, chunk);  // f32 slot 0 = FIR scratch
       dsp::kernels::narrow(seg, seg32);
       fir32_.process_into(seg32, seg32, ws_);
       if (cfg_.noise_power > 0.0) {
@@ -573,10 +573,10 @@ void CancellerElement::cancel_into(CMutSpan rx, CSpan tx) {
     // run both stages and the two subtractions on the float32 kernels, widen
     // the residual once. f32 slot 0 is FirFilter32 scratch; 1..4 hold the
     // block-lifetime buffers.
-    CMutSpan32 rx32 = ws_.get_f32(1, n);
-    CMutSpan32 tx32 = ws_.get_f32(2, n);
-    CMutSpan32 analog = ws_.get_f32(3, n);
-    CMutSpan32 digital = ws_.get_f32(4, n);
+    CMutSpan32 rx32 = ws_.get<float>(1, n);
+    CMutSpan32 tx32 = ws_.get<float>(2, n);
+    CMutSpan32 analog = ws_.get<float>(3, n);
+    CMutSpan32 digital = ws_.get<float>(4, n);
     dsp::kernels::narrow(rx, rx32);
     dsp::kernels::narrow(tx, tx32);
     analog32_.process_into(tx32, analog, ws_);

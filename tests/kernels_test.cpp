@@ -2,7 +2,8 @@
 //
 //  1. Bitwise scalar/SIMD equality: the dispatched kernels (whatever ISA
 //     resolved on this machine) produce byte-identical output to the scalar
-//     reference, on aligned, unaligned and odd-tail spans.
+//     reference, on aligned, unaligned and odd-tail spans and on every FFT
+//     stage shape, at both lane types.
 //  2. Numerical accuracy of the mixed-radix Stockham FFT against the seed
 //     radix-2 reference (a tight ulp-scale bound; the two associate
 //     differently, so bitwise equality is not expected — this is the one
@@ -17,6 +18,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <ranges>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "dsp/fft.hpp"
@@ -104,114 +107,142 @@ namespace k = dsp::kernels;
 // one/two vectors, odd tails after the 2- and 4-wide loops, and large.
 const std::size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 129, 1000};
 
-k::AlignedCVec random_vec(Rng& rng, std::size_t n) {
-  k::AlignedCVec v(n);
-  for (auto& x : v) x = rng.cgaussian();
+template <typename T>
+using Vec = k::AlignedVec<std::complex<T>>;
+template <typename T>
+using Span = std::span<const std::complex<T>>;
+
+template <typename T>
+Vec<T> random_vec(Rng& rng, std::size_t n) {
+  Vec<T> v(n);
+  for (auto& x : v) {
+    const Complex d = rng.cgaussian();
+    x = {static_cast<T>(d.real()), static_cast<T>(d.imag())};
+  }
   return v;
 }
 
-bool bitwise_equal(CSpan a, CSpan b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+// Byte equality of two sample ranges (spans or vectors) of one type.
+template <typename A, typename B>
+bool bitwise_equal(const A& a, const B& b) {
+  static_assert(std::is_same_v<std::ranges::range_value_t<A>, std::ranges::range_value_t<B>>);
+  return std::size(a) == std::size(b) &&
+         std::memcmp(std::data(a), std::data(b), std::size(a) * sizeof(*std::data(a))) == 0;
 }
 
 // Run `check` over aligned views and deliberately misaligned (data()+1)
 // views of freshly drawn inputs, for every size in kSizes.
-template <typename Fn>
+template <typename T, typename Fn>
 void for_each_shape(Fn&& check) {
-  Rng rng(20140817);
+  Rng rng(std::is_same_v<T, double> ? 20140817 : 20140818);
   for (const std::size_t n : kSizes) {
-    k::AlignedCVec a = random_vec(rng, n + 1);
-    k::AlignedCVec b = random_vec(rng, n + 1);
-    check(CSpan{a.data(), n}, CSpan{b.data(), n}, n);            // aligned
-    check(CSpan{a.data() + 1, n}, CSpan{b.data() + 1, n}, n);    // unaligned
+    Vec<T> a = random_vec<T>(rng, n + 1);
+    Vec<T> b = random_vec<T>(rng, n + 1);
+    check(Span<T>{a.data(), n}, Span<T>{b.data(), n}, n);          // aligned
+    check(Span<T>{a.data() + 1, n}, Span<T>{b.data() + 1, n}, n);  // unaligned
   }
 }
 
-TEST(KernelsBitwise, CmulMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan b, std::size_t n) {
-    k::AlignedCVec got(n), want(n);
+// Each check below is one body over the lane type, run by the KernelsBitwise
+// suite at double and by KernelsBitwiseF32 at float. The f32 kernels carry
+// the identical bitwise scalar/SIMD promise; f32 and f64 are separate
+// checksum families, so nothing here compares one precision with the other
+// (accuracy of the f32 family is covered by the FftMixedRadixF32 and stream
+// tests).
+
+template <typename T>
+void check_cmul() {
+  for_each_shape<T>([](Span<T> a, Span<T> b, std::size_t n) {
+    Vec<T> got(n), want(n);
     k::cmul(a, b, got);
     k::scalar::cmul(a, b, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, CmacMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan b, std::size_t n) {
+template <typename T>
+void check_cmac() {
+  for_each_shape<T>([](Span<T> a, Span<T> b, std::size_t n) {
     Rng rng(n);
-    k::AlignedCVec got = random_vec(rng, n);
-    k::AlignedCVec want = got;
+    Vec<T> got = random_vec<T>(rng, n);
+    Vec<T> want = got;
     k::cmac(a, b, got);
     k::scalar::cmac(a, b, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, AxpyMatchesScalar) {
-  const Complex alpha{0.7, -1.3};
-  for_each_shape([&](CSpan a, CSpan, std::size_t n) {
+template <typename T>
+void check_axpy() {
+  const std::complex<T> alpha{static_cast<T>(0.7), static_cast<T>(-1.3)};
+  for_each_shape<T>([&](Span<T> a, Span<T>, std::size_t n) {
     Rng rng(n);
-    k::AlignedCVec got = random_vec(rng, n);
-    k::AlignedCVec want = got;
+    Vec<T> got = random_vec<T>(rng, n);
+    Vec<T> want = got;
     k::axpy(alpha, a, got);
     k::scalar::axpy(alpha, a, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, ScaleMatchesScalar) {
-  const Complex alpha{-0.2, 2.5};
-  for_each_shape([&](CSpan a, CSpan, std::size_t n) {
-    k::AlignedCVec got(n), want(n);
+template <typename T>
+void check_scale() {
+  const std::complex<T> alpha{static_cast<T>(-0.2), static_cast<T>(2.5)};
+  for_each_shape<T>([&](Span<T> a, Span<T>, std::size_t n) {
+    Vec<T> got(n), want(n);
     k::scale(alpha, a, got);
     k::scalar::scale(alpha, a, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, ScaleRealMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan, std::size_t n) {
-    k::AlignedCVec got(n), want(n);
-    k::scale_real(1.0 / 64.0, a, got);
-    k::scalar::scale_real(1.0 / 64.0, a, want);
+template <typename T>
+void check_scale_real() {
+  for_each_shape<T>([](Span<T> a, Span<T>, std::size_t n) {
+    Vec<T> got(n), want(n);
+    k::scale_real(T{1} / T{64}, a, got);
+    k::scalar::scale_real(T{1} / T{64}, a, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, RotatePhasorMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan b, std::size_t n) {
-    k::AlignedCVec got(n), want(n);
+template <typename T>
+void check_rotate_phasor() {
+  for_each_shape<T>([](Span<T> a, Span<T> b, std::size_t n) {
+    Vec<T> got(n), want(n);
     k::rotate_phasor(a, b, got);
     k::scalar::rotate_phasor(a, b, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, CdotConjMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan b, std::size_t n) {
-    const Complex got = k::cdot_conj(a, b);
-    const Complex want = k::scalar::cdot_conj(a, b);
-    EXPECT_TRUE(std::memcmp(&got, &want, sizeof(Complex)) == 0) << "n=" << n;
+template <typename T>
+void check_cdot_conj() {
+  for_each_shape<T>([](Span<T> a, Span<T> b, std::size_t n) {
+    const std::complex<T> got = k::cdot_conj(a, b);
+    const std::complex<T> want = k::scalar::cdot_conj(a, b);
+    EXPECT_TRUE(std::memcmp(&got, &want, sizeof got) == 0) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, MagsqAccumMatchesScalar) {
-  for_each_shape([](CSpan a, CSpan, std::size_t n) {
-    const double got = k::magsq_accum(a);
-    const double want = k::scalar::magsq_accum(a);
-    EXPECT_TRUE(std::memcmp(&got, &want, sizeof(double)) == 0) << "n=" << n;
+template <typename T>
+void check_magsq_accum() {
+  for_each_shape<T>([](Span<T> a, Span<T>, std::size_t n) {
+    const T got = k::magsq_accum(a);
+    const T want = k::scalar::magsq_accum(a);
+    EXPECT_TRUE(std::memcmp(&got, &want, sizeof got) == 0) << "n=" << n;
   });
 }
 
-TEST(KernelsBitwise, SplitInterleaveMatchesScalarAndRoundTrips) {
-  for_each_shape([](CSpan a, CSpan, std::size_t n) {
-    std::vector<double> re(n), im(n), re2(n), im2(n);
+template <typename T>
+void check_split_interleave() {
+  for_each_shape<T>([](Span<T> a, Span<T>, std::size_t n) {
+    std::vector<T> re(n), im(n), re2(n), im2(n);
     k::split(a, re, im);
     k::scalar::split(a, re2, im2);
-    EXPECT_EQ(std::memcmp(re.data(), re2.data(), n * sizeof(double)), 0) << "n=" << n;
-    EXPECT_EQ(std::memcmp(im.data(), im2.data(), n * sizeof(double)), 0) << "n=" << n;
-    k::AlignedCVec got(n), want(n);
+    EXPECT_TRUE(bitwise_equal(re, re2)) << "n=" << n;
+    EXPECT_TRUE(bitwise_equal(im, im2)) << "n=" << n;
+    Vec<T> got(n), want(n);
     k::interleave(re, im, got);
     k::scalar::interleave(re, im, want);
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
@@ -219,128 +250,78 @@ TEST(KernelsBitwise, SplitInterleaveMatchesScalarAndRoundTrips) {
   });
 }
 
-// --------------------------------------------- float32 family, same contract
-// The f32 kernels carry the identical bitwise scalar/SIMD promise: whatever
-// ISA dispatch resolved must memcmp-match the scalar float reference on
-// aligned, unaligned and odd-tail spans. (f32 and f64 are separate checksum
-// families — nothing here compares f32 against f64; accuracy of the family
-// as a whole is covered by the FftMixedRadixF32 and stream tests.)
-
-k::AlignedCVec32 random_vec32(Rng& rng, std::size_t n) {
-  k::AlignedCVec32 v(n);
-  for (auto& x : v) {
-    const Complex d = rng.cgaussian();
-    x = {static_cast<float>(d.real()), static_cast<float>(d.imag())};
+// The FFT stage kernels, on every (butterflies, m) shape the Stockham
+// schedule (dsp::FftPlan) builds for n = 2..4096, forward and inverse (the
+// inverse runs over the conjugated twiddle table, as the plan does). That
+// covers the first stage (m == 1), which the f32 AVX2 radix-4 path
+// vectorizes across butterflies, and n = 4 and 8, whose stages do not fill
+// a register. One odd-m shape no power-of-two size produces rides along.
+template <typename T>
+void check_radix_stage(std::size_t radix) {
+  struct Shape {
+    std::size_t butterflies, m;
+  };
+  std::vector<Shape> shapes;
+  for (std::size_t n = 2; n <= 4096; n *= 2) {
+    std::size_t len = n, m = 1;
+    while (len > 1) {
+      const std::size_t r = (len % 4 == 0) ? 4 : 2;
+      if (r == radix) shapes.push_back({len / r, m});
+      m *= r;
+      len /= r;
+    }
   }
-  return v;
-}
-
-bool bitwise_equal32(CSpan32 a, CSpan32 b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex32)) == 0;
-}
-
-template <typename Fn>
-void for_each_shape32(Fn&& check) {
-  Rng rng(20140818);
-  for (const std::size_t n : kSizes) {
-    k::AlignedCVec32 a = random_vec32(rng, n + 1);
-    k::AlignedCVec32 b = random_vec32(rng, n + 1);
-    check(CSpan32{a.data(), n}, CSpan32{b.data(), n}, n);          // aligned
-    check(CSpan32{a.data() + 1, n}, CSpan32{b.data() + 1, n}, n);  // unaligned
+  shapes.push_back({3, 5});
+  Rng rng(20140819);
+  for (const Shape& s : shapes) {
+    const std::size_t n = radix * s.butterflies * s.m;
+    const Vec<T> src = random_vec<T>(rng, n);
+    const Vec<T> tw = random_vec<T>(rng, (radix == 4 ? 3 : 1) * s.butterflies);
+    Vec<T> tw_inv(tw.size());
+    for (std::size_t i = 0; i < tw.size(); ++i) tw_inv[i] = std::conj(tw[i]);
+    for (const bool invert : {false, true}) {
+      const std::complex<T>* w = invert ? tw_inv.data() : tw.data();
+      Vec<T> got(n), want(n);
+      if (radix == 4) {
+        k::radix4_stage(src.data(), got.data(), w, s.butterflies, s.m, invert);
+        k::scalar::radix4_stage(src.data(), want.data(), w, s.butterflies, s.m, invert);
+      } else {
+        k::radix2_stage(src.data(), got.data(), w, s.butterflies, s.m);
+        k::scalar::radix2_stage(src.data(), want.data(), w, s.butterflies, s.m);
+      }
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << "butterflies=" << s.butterflies << " m=" << s.m << " invert=" << invert;
+    }
   }
 }
 
-TEST(KernelsBitwiseF32, CmulMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32 b, std::size_t n) {
-    k::AlignedCVec32 got(n), want(n);
-    k::cmul(a, b, got);
-    k::scalar::cmul(a, b, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
+TEST(KernelsBitwise, CmulMatchesScalar) { check_cmul<double>(); }
+TEST(KernelsBitwise, CmacMatchesScalar) { check_cmac<double>(); }
+TEST(KernelsBitwise, AxpyMatchesScalar) { check_axpy<double>(); }
+TEST(KernelsBitwise, ScaleMatchesScalar) { check_scale<double>(); }
+TEST(KernelsBitwise, ScaleRealMatchesScalar) { check_scale_real<double>(); }
+TEST(KernelsBitwise, RotatePhasorMatchesScalar) { check_rotate_phasor<double>(); }
+TEST(KernelsBitwise, CdotConjMatchesScalar) { check_cdot_conj<double>(); }
+TEST(KernelsBitwise, MagsqAccumMatchesScalar) { check_magsq_accum<double>(); }
+TEST(KernelsBitwise, SplitInterleaveMatchesScalarAndRoundTrips) {
+  check_split_interleave<double>();
 }
+TEST(KernelsBitwise, Radix2StageMatchesScalar) { check_radix_stage<double>(2); }
+TEST(KernelsBitwise, Radix4StageMatchesScalar) { check_radix_stage<double>(4); }
 
-TEST(KernelsBitwiseF32, CmacMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32 b, std::size_t n) {
-    Rng rng(n);
-    k::AlignedCVec32 got = random_vec32(rng, n);
-    k::AlignedCVec32 want = got;
-    k::cmac(a, b, got);
-    k::scalar::cmac(a, b, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, AxpyMatchesScalar) {
-  const Complex32 alpha{0.7f, -1.3f};
-  for_each_shape32([&](CSpan32 a, CSpan32, std::size_t n) {
-    Rng rng(n);
-    k::AlignedCVec32 got = random_vec32(rng, n);
-    k::AlignedCVec32 want = got;
-    k::axpy(alpha, a, got);
-    k::scalar::axpy(alpha, a, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, ScaleMatchesScalar) {
-  const Complex32 alpha{-0.2f, 2.5f};
-  for_each_shape32([&](CSpan32 a, CSpan32, std::size_t n) {
-    k::AlignedCVec32 got(n), want(n);
-    k::scale(alpha, a, got);
-    k::scalar::scale(alpha, a, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, ScaleRealMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32, std::size_t n) {
-    k::AlignedCVec32 got(n), want(n);
-    k::scale_real(1.0f / 64.0f, a, got);
-    k::scalar::scale_real(1.0f / 64.0f, a, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, RotatePhasorMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32 b, std::size_t n) {
-    k::AlignedCVec32 got(n), want(n);
-    k::rotate_phasor(a, b, got);
-    k::scalar::rotate_phasor(a, b, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, CdotConjMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32 b, std::size_t n) {
-    const Complex32 got = k::cdot_conj(a, b);
-    const Complex32 want = k::scalar::cdot_conj(a, b);
-    EXPECT_TRUE(std::memcmp(&got, &want, sizeof(Complex32)) == 0) << "n=" << n;
-  });
-}
-
-TEST(KernelsBitwiseF32, MagsqAccumMatchesScalar) {
-  for_each_shape32([](CSpan32 a, CSpan32, std::size_t n) {
-    const float got = k::magsq_accum(a);
-    const float want = k::scalar::magsq_accum(a);
-    EXPECT_TRUE(std::memcmp(&got, &want, sizeof(float)) == 0) << "n=" << n;
-  });
-}
-
+TEST(KernelsBitwiseF32, CmulMatchesScalar) { check_cmul<float>(); }
+TEST(KernelsBitwiseF32, CmacMatchesScalar) { check_cmac<float>(); }
+TEST(KernelsBitwiseF32, AxpyMatchesScalar) { check_axpy<float>(); }
+TEST(KernelsBitwiseF32, ScaleMatchesScalar) { check_scale<float>(); }
+TEST(KernelsBitwiseF32, ScaleRealMatchesScalar) { check_scale_real<float>(); }
+TEST(KernelsBitwiseF32, RotatePhasorMatchesScalar) { check_rotate_phasor<float>(); }
+TEST(KernelsBitwiseF32, CdotConjMatchesScalar) { check_cdot_conj<float>(); }
+TEST(KernelsBitwiseF32, MagsqAccumMatchesScalar) { check_magsq_accum<float>(); }
 TEST(KernelsBitwiseF32, SplitInterleaveMatchesScalarAndRoundTrips) {
-  for_each_shape32([](CSpan32 a, CSpan32, std::size_t n) {
-    std::vector<float> re(n), im(n), re2(n), im2(n);
-    k::split(a, re, im);
-    k::scalar::split(a, re2, im2);
-    EXPECT_EQ(std::memcmp(re.data(), re2.data(), n * sizeof(float)), 0) << "n=" << n;
-    EXPECT_EQ(std::memcmp(im.data(), im2.data(), n * sizeof(float)), 0) << "n=" << n;
-    k::AlignedCVec32 got(n), want(n);
-    k::interleave(re, im, got);
-    k::scalar::interleave(re, im, want);
-    EXPECT_TRUE(bitwise_equal32(got, want)) << "n=" << n;
-    EXPECT_TRUE(bitwise_equal32(got, a)) << "n=" << n;  // round trip
-  });
+  check_split_interleave<float>();
 }
+TEST(KernelsBitwiseF32, Radix2StageMatchesScalar) { check_radix_stage<float>(2); }
+TEST(KernelsBitwiseF32, Radix4StageMatchesScalar) { check_radix_stage<float>(4); }
 
 // Convert-at-the-edges exactness: widen is exact (every float is a double),
 // and narrow of a widened f32 vector restores the original bit pattern. This
@@ -349,7 +330,7 @@ TEST(KernelsBitwiseF32, SplitInterleaveMatchesScalarAndRoundTrips) {
 TEST(KernelsF32, WidenNarrowRoundTripIsExact) {
   Rng rng(42);
   for (const std::size_t n : kSizes) {
-    k::AlignedCVec32 x = random_vec32(rng, n);
+    k::AlignedCVec32 x = random_vec<float>(rng, n);
     k::AlignedCVec wide(n);
     k::widen(CSpan32{x.data(), n}, wide);
     for (std::size_t i = 0; i < n; ++i) {
@@ -358,12 +339,12 @@ TEST(KernelsF32, WidenNarrowRoundTripIsExact) {
     }
     k::AlignedCVec32 back(n);
     k::narrow(wide, back);
-    EXPECT_TRUE(bitwise_equal32(back, CSpan32{x.data(), n})) << "n=" << n;
+    EXPECT_TRUE(bitwise_equal(back, CSpan32{x.data(), n})) << "n=" << n;
     // The allocating conveniences agree with the span forms.
     const CVec wide2 = k::widened(CSpan32{x.data(), n});
     EXPECT_TRUE(bitwise_equal(wide, wide2)) << "n=" << n;
     const CVec32 back2 = k::narrowed(wide);
-    EXPECT_TRUE(bitwise_equal32(back, back2)) << "n=" << n;
+    EXPECT_TRUE(bitwise_equal(back, back2)) << "n=" << n;
   }
 }
 
@@ -375,7 +356,7 @@ TEST(Kernels, IsaReportingIsConsistent) {
   }
   // The name is one of the documented tokens bench JSON carries.
   const std::string name = k::isa_name();
-  EXPECT_TRUE(name == "scalar" || name == "sse2" || name == "avx2") << name;
+  EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
 }
 
 // -------------------------------------------------- mixed-radix FFT accuracy
@@ -437,7 +418,7 @@ TEST(FftMixedRadix, ExecuteManyMatchesSingleTransforms) {
 }
 
 // ------------------------------------------------------- float32 FFT accuracy
-// FftPlan32 has no radix-2 twin; its accuracy reference is the f64 plan. The
+// FftPlan32 has no radix-2 reference; its accuracy reference is the f64 plan. The
 // bound is the float analogue of the mixed-radix one: eps_f32 scales it up by
 // ~2^29, which still pins the plan to "rounding noise only".
 
@@ -494,14 +475,14 @@ TEST(FftMixedRadixF32, ExecuteManyMatchesSingleTransforms) {
   Rng rng(14);
   const std::size_t n = 64, count = 5;
   const dsp::FftPlan32 plan(n);
-  k::AlignedCVec32 in = random_vec32(rng, n * count);
+  k::AlignedCVec32 in = random_vec<float>(rng, n * count);
   k::AlignedCVec32 out(n * count);
   plan.execute_many(in, out, count);
   for (std::size_t c = 0; c < count; ++c) {
     k::AlignedCVec32 one(in.begin() + static_cast<std::ptrdiff_t>(c * n),
                          in.begin() + static_cast<std::ptrdiff_t>((c + 1) * n));
     plan.forward(one);
-    EXPECT_TRUE(bitwise_equal32(CSpan32{out.data() + c * n, n}, one)) << "block " << c;
+    EXPECT_TRUE(bitwise_equal(CSpan32{out.data() + c * n, n}, one)) << "block " << c;
   }
 }
 
@@ -614,18 +595,18 @@ TEST(Workspace, GrowsAreCountedAndStopInSteadyState) {
 TEST(Workspace, F32SlotsAreASeparateNamespace) {
   k::Workspace ws;
   (void)ws.get(0, 100);  // f64 slot 0
-  EXPECT_EQ(ws.grows_f32(), 0u) << "f64 gets must not touch the f32 counters";
-  (void)ws.get_f32(0, 100);
-  const std::uint64_t after_first = ws.grows_f32();
+  EXPECT_EQ(ws.grows<float>(), 0u) << "f64 gets must not touch the f32 counters";
+  (void)ws.get<float>(0, 100);
+  const std::uint64_t after_first = ws.grows<float>();
   EXPECT_GT(after_first, 0u);
-  EXPECT_GT(ws.bytes_f32(), 0u);
-  (void)ws.get_f32(0, 64);   // smaller: reuse
-  (void)ws.get_f32(0, 100);  // equal: reuse
-  EXPECT_EQ(ws.grows_f32(), after_first);
-  (void)ws.get_f32(0, 200);  // larger: must grow
-  EXPECT_GT(ws.grows_f32(), after_first);
+  EXPECT_GT(ws.bytes<float>(), 0u);
+  (void)ws.get<float>(0, 64);   // smaller: reuse
+  (void)ws.get<float>(0, 100);  // equal: reuse
+  EXPECT_EQ(ws.grows<float>(), after_first);
+  (void)ws.get<float>(0, 200);  // larger: must grow
+  EXPECT_GT(ws.grows<float>(), after_first);
   ws.release();
-  EXPECT_EQ(ws.bytes_f32(), 0u);
+  EXPECT_EQ(ws.bytes<float>(), 0u);
 }
 
 }  // namespace
