@@ -76,7 +76,9 @@ BENCHMARK(BM_CmulSimd);
 // the SIMD width per register, kernels.hpp "float32 family"). Each row pairs
 // with its f64 twin above/below so the width gain is a row-to-row ratio:
 // BM_CmulSimd <-> BM_CmulF32Simd, BM_Fft64 <-> BM_Fft64F32,
-// BM_FirCoreF64 <-> BM_FirCoreF32, BM_CancellerApplyF64 <-> ...F32.
+// BM_FirCoreF64 <-> BM_FirCoreF32, BM_CancellerApplyF64 <-> ...F32. The f32
+// FFT stages have no AVX2 body (no session runs them), so BM_Fft64F32 times
+// the scalar f32 FFT against the dispatched f64 one.
 
 void BM_CmulF32Simd(benchmark::State& state) {
   Rng rng(11);

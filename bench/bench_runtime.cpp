@@ -76,7 +76,7 @@ ExperimentTiming time_experiment(std::size_t clients, std::size_t threads,
   t.threads = threads;
   ExperimentResults results;
   t.wall_ms = time_once_ms([&] { results = run_experiment(cfg); });
-  t.checksum = results_checksum(results);
+  t.checksum = results.checksum();
   if (with_metrics) {
     const MetricsSnapshot snap = registry.snapshot();
     t.metrics_canonical = snap.to_json(/*include_timer_values=*/false);
@@ -109,8 +109,9 @@ std::vector<KernelTiming> time_kernels(int reps) {
                    time_best_ms([&] { for (std::size_t i = 0; i < kBatch; ++i) plan.inverse(x); },
                                 reps),
                    kBatch});
-    // The float32 twin: same transform, double the SIMD lanes per register.
-    // Paired with fft64_forward so the width gain is a row-to-row ratio.
+    // The float32 twin of fft64_forward. No session runs an f32 FFT, so its
+    // stages have no AVX2 body and this row times the scalar f32 FFT
+    // (docs/PERFORMANCE.md, "The float32 family").
     const dsp::FftPlan32& plan32 = dsp::FftPlan32::cached(64);
     dsp::kernels::AlignedCVec32 x32(64);
     dsp::kernels::narrow(x, x32);

@@ -70,37 +70,25 @@ void Scalar<T>::scale_real(T alpha, const C* x, C* out, std::size_t n) {
 }
 
 template <typename T>
-void Scalar<T>::cdot_conj_tail(const C* a, const C* b, std::size_t start, std::size_t n,
-                               C lanes[4]) {
-  for (std::size_t k = start; k < n; ++k) {
+std::complex<T> Scalar<T>::cdot_conj(const C* a, const C* b, std::size_t n) {
+  C lanes[4] = {};
+  for (std::size_t k = 0; k < n; ++k) {
     const C p = cmul_conj_one(a[k], b[k]);
     C& acc = lanes[k % 4];
     acc = {acc.real() + p.real(), acc.imag() + p.imag()};
   }
-}
-
-template <typename T>
-std::complex<T> Scalar<T>::cdot_conj(const C* a, const C* b, std::size_t n) {
-  C lanes[4] = {};
-  cdot_conj_tail(a, b, 0, n, lanes);
   const C s01{lanes[0].real() + lanes[1].real(), lanes[0].imag() + lanes[1].imag()};
   const C s23{lanes[2].real() + lanes[3].real(), lanes[2].imag() + lanes[3].imag()};
   return {s01.real() + s23.real(), s01.imag() + s23.imag()};
 }
 
 template <typename T>
-void Scalar<T>::magsq_accum_tail(const C* x, std::size_t start, std::size_t n,
-                                 T lanes[4]) {
-  for (std::size_t k = start; k < n; ++k) {
+T Scalar<T>::magsq_accum(const C* x, std::size_t n) {
+  T lanes[4] = {};
+  for (std::size_t k = 0; k < n; ++k) {
     const T re = x[k].real(), im = x[k].imag();
     lanes[k % 4] += re * re + im * im;
   }
-}
-
-template <typename T>
-T Scalar<T>::magsq_accum(const C* x, std::size_t n) {
-  T lanes[4] = {};
-  magsq_accum_tail(x, 0, n, lanes);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 

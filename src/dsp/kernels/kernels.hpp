@@ -7,9 +7,11 @@
 // implementation (namespace kernels::scalar, always compiled; one template
 // per op over the lane type, instantiated for double and float) plus an AVX2
 // path (compiled when the FF_SIMD CMake option is ON, selected at runtime via
-// __builtin_cpu_supports). Callers use the dispatched free functions;
-// `active_isa()` reports which path is live so benchmarks and telemetry can
-// record it.
+// __builtin_cpu_supports). The AVX2 path has bodies only for the ops the
+// relay's timed paths run — cmul/rotate_phasor and axpy at both widths, the
+// f64 radix2_stage/radix4_stage — and dispatches every other op to its
+// scalar template. Callers use the dispatched free functions; `active_isa()`
+// reports which path is live so benchmarks and telemetry can record it.
 //
 // The bitwise contract — the reason this layer can sit under the streaming
 // runtime's determinism guarantees:
@@ -110,11 +112,13 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 
 // ------------------------------------------------------------ float32 family
 // Overloads on the CSpan32/CMutSpan32 types (common/types.hpp): the same
-// kernels with float lanes, doubling SIMD width per register. Same bitwise
-// scalar==SIMD contract, same four-lane reduction schedule — but the f32
-// family is its OWN checksum family: f32 results are deterministic across
-// ISAs/blocks/threads yet numerically distinct from the double kernels
-// (docs/PERFORMANCE.md, "The float32 family").
+// kernels with float lanes. cmul/rotate_phasor and axpy have AVX2 bodies at
+// double the f64 lane count; the other f32 ops, the FFT stages included, run
+// their scalar template. Same bitwise scalar==SIMD contract, same four-lane
+// reduction schedule — but the f32 family is its OWN checksum family: f32
+// results are deterministic across ISAs/blocks/threads yet numerically
+// distinct from the double kernels (docs/PERFORMANCE.md, "The float32
+// family").
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
 void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);

@@ -3,13 +3,14 @@
 // API — include kernels.hpp instead.
 //
 // Scalar<T> is the bitwise ground truth: the AVX2 TU reuses it for loop
-// tails and for whole stages its vector bodies do not cover, so a vectorized
-// call is indistinguishable from the scalar one on any span length. Its
-// members are defined only in kernels.cpp, which explicitly instantiates
-// both lane types; the -mavx2 TU sees declarations alone, so no VEX-encoded
-// copy of shared scalar code exists for the linker to pick. Keep every
-// formula there in sync with the contract documented in kernels.hpp (no FMA,
-// fixed association).
+// tails, for whole stages its vector bodies do not cover, and as the table
+// entry of every op that has no AVX2 body, so a dispatched call is
+// indistinguishable from the scalar one on any span length. Its members are
+// defined only in kernels.cpp, which explicitly instantiates both lane
+// types; the -mavx2 TU sees declarations alone and takes their addresses,
+// so no VEX-encoded copy of shared scalar code exists for the linker to
+// pick. Keep every formula there in sync with the contract documented in
+// kernels.hpp (no FMA, fixed association).
 #pragma once
 
 #include <complex>
@@ -56,13 +57,6 @@ struct Scalar {
                            std::size_t m);
   static void radix4_stage(const C* src, C* dst, const C* tw, std::size_t quarter,
                            std::size_t m, bool invert);
-
-  // Tail helpers that continue a reduction started by a SIMD loop: terms keep
-  // their round-robin lane assignment (term k -> lane k mod 4) so the final
-  // (p0 + p1) + (p2 + p3) combine matches the scalar reference bit for bit.
-  static void cdot_conj_tail(const C* a, const C* b, std::size_t start, std::size_t n,
-                             C lanes[4]);
-  static void magsq_accum_tail(const C* x, std::size_t start, std::size_t n, T lanes[4]);
 
   static const KernelOps<T> ops;
 };

@@ -123,6 +123,39 @@ ExperimentSummary ExperimentResults::summary() const {
   return s;
 }
 
+namespace {
+
+/// Fold raw bytes into an FNV-1a accumulator (bit-exact for the
+/// little-endian IEEE-754 doubles this codebase runs on).
+std::uint64_t fnv1a_fold(std::uint64_t h, const void* bytes, std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t ExperimentResults::checksum() const {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const auto& r : locations_) {
+    h = fnv1a_fold(h, r.plan.data(), r.plan.size());
+    const double fields[] = {r.client.x,
+                             r.client.y,
+                             r.schemes.ap_only_mbps,
+                             r.schemes.hd_mesh_mbps,
+                             r.schemes.ff_mbps,
+                             r.schemes.af_mbps,
+                             r.schemes.baseline_snr_db,
+                             static_cast<double>(r.schemes.baseline_streams),
+                             static_cast<double>(r.category)};
+    h = fnv1a_fold(h, fields, sizeof(fields));
+  }
+  return h;
+}
+
 relay::DesignOptions default_design_options(const TestbedConfig& cfg) {
   relay::DesignOptions opts;
   opts.f_grid_hz = cfg.ofdm.used_subcarrier_freqs();

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "eval/schemes.hpp"
@@ -162,6 +163,11 @@ class ExperimentResults {
   ExperimentResults by_category(LinkCategory c) const;
 
   ExperimentSummary summary() const;
+
+  /// FNV-1a over every numeric field of every location, in location order:
+  /// two runs are bit-identical iff their checksums match, whatever the
+  /// thread count (tests/eval_test.cpp pins the figure benches' sweep).
+  std::uint64_t checksum() const;
 
  private:
   std::vector<LocationResult> locations_;

@@ -174,6 +174,20 @@ TEST(Schemes, RelayNoiseEntersTheRateComputation) {
   EXPECT_GE(without.throughput_mbps, with_noise.throughput_mbps);
 }
 
+// ---------------------------------------------------------- checksum
+
+// The figure benches' sweep (bench_common.hpp's standard_run): its checksum
+// is the pinned experiment result, at any thread count.
+TEST(ExperimentResults, ChecksumPinnedAtOneAndFourThreads) {
+  for (const std::size_t threads : {1u, 4u}) {
+    const auto results = run_experiment(ExperimentConfig::for_testbed(TestbedPreset::kMimo2x2)
+                                            .with_clients(50)
+                                            .with_seed(20140817)
+                                            .with_threads(threads));
+    EXPECT_EQ(results.checksum(), 0x518fed5126199c41ULL) << threads << " threads";
+  }
+}
+
 // ---------------------------------------------------------- heatmap
 
 TEST(Heatmap, RendersExpectedDimensions) {

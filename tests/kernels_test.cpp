@@ -253,9 +253,9 @@ void check_split_interleave() {
 // The FFT stage kernels, on every (butterflies, m) shape the Stockham
 // schedule (dsp::FftPlan) builds for n = 2..4096, forward and inverse (the
 // inverse runs over the conjugated twiddle table, as the plan does). That
-// covers the first stage (m == 1), which the f32 AVX2 radix-4 path
-// vectorizes across butterflies, and n = 4 and 8, whose stages do not fill
-// a register. One odd-m shape no power-of-two size produces rides along.
+// covers the first stage (m == 1), which the f64 AVX2 bodies hand whole to
+// the scalar core, and n = 4 and 8, whose stages do not fill a register.
+// One odd-m shape no power-of-two size produces rides along.
 template <typename T>
 void check_radix_stage(std::size_t radix) {
   struct Shape {

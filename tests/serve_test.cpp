@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -806,6 +807,54 @@ TEST(RelayDaemon, DeadPendingPeerReleasesItsEndpoint) {
   runner.join();  // max_sessions=1: the daemon exits once the session ends
   EXPECT_EQ(daemon.sessions_completed(), 1u);
   EXPECT_EQ(daemon.admission_rejected(), 0u);
+}
+
+// A control client that streams more than the daemon's 64 KiB line cap
+// without a newline is dropped; the daemon and its other control clients
+// carry on.
+TEST(RelayDaemon, OversizedControlLineDropsOnlyThatClient) {
+  const std::string dir = make_temp_dir();
+  const std::string in_ep = "unix:" + dir + "/in.sock";
+  const std::string ctl_ep = "unix:" + dir + "/ctl.sock";
+
+  // No data peer ever connects, so no session starts.
+  serve::DaemonConfig cfg;
+  cfg.graph_text = "in :: SocketSource(endpoint=" + in_ep + ", poll_ms=5);\n" +
+                   "in -> NullSink();\n";
+  cfg.control = ctl_ep;
+  cfg.log = [](const std::string&) {};
+  serve::RelayDaemon daemon(std::move(cfg));
+  std::thread runner([&] { daemon.run(); });
+
+  const stream::OwnedFd a =
+      stream::wire_connect(stream::parse_endpoint("t", ctl_ep), 20.0);
+  const stream::OwnedFd b =
+      stream::wire_connect(stream::parse_endpoint("t", ctl_ep), 20.0);
+
+  // The daemon may close A before every byte is sent: stop at the first
+  // failed send (MSG_NOSIGNAL turns SIGPIPE into EPIPE).
+  const std::string garbage(70000, 'x');
+  std::size_t sent = 0;
+  while (sent < garbage.size()) {
+    const ssize_t n =
+        ::send(a.get(), garbage.data() + sent, garbage.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+
+  // No ASSERT before the join below: run() must be shut down either way.
+  const bool dropped = stream::wire_poll_readable(a.get(), 10000);
+  EXPECT_TRUE(dropped) << "client A was never dropped";
+  if (dropped) {
+    char c = 0;
+    const ssize_t n = ::recv(a.get(), &c, 1, 0);
+    EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET)) << "recv returned " << n;
+  }
+
+  EXPECT_EQ(control(b.get(), "ping"), "ok pong");
+  EXPECT_EQ(control(b.get(), "shutdown"), "ok shutting-down");
+  runner.join();
+  EXPECT_EQ(daemon.sessions_started(), 0u);
 }
 
 TEST(RelayDaemon, ConstructorRejectsBadGraphsAndPresets) {
