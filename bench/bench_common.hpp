@@ -3,14 +3,11 @@
 // series the paper plots; EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/json_writer.hpp"
 #include "common/rng.hpp"
 #include "eval/cli.hpp"
 #include "eval/experiment.hpp"
@@ -21,56 +18,6 @@ namespace ffbench {
 
 using namespace ff;
 using namespace ff::eval;
-
-// The emitter lives in common/json_writer.hpp now (the telemetry exporter
-// shares it); the alias keeps the bench binaries' spelling.
-using ff::JsonWriter;
-
-// ------------------------------------------------------------- timing
-
-/// Monotonic wall-clock stopwatch for the runtime bench harness.
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Wall time of one call to `fn`, in milliseconds.
-template <typename F>
-double time_once_ms(F&& fn) {
-  const Stopwatch sw;
-  fn();
-  return sw.elapsed_ms();
-}
-
-/// Best-of-`reps` wall time (the usual noise-resistant micro-bench metric).
-template <typename F>
-double time_best_ms(F&& fn, int reps) {
-  double best = time_once_ms(fn);
-  for (int r = 1; r < reps; ++r) best = std::min(best, time_once_ms(fn));
-  return best;
-}
-
-// ------------------------------------------------------------- checksums
-
-/// Fold raw bytes into an FNV-1a accumulator (bit-exact, platform-stable for
-/// the little-endian IEEE-754 doubles this codebase runs on).
-inline std::uint64_t fnv1a_accumulate(std::uint64_t h, const void* bytes, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 // ------------------------------------------------------------- experiments
 

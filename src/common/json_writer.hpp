@@ -1,13 +1,12 @@
-// Minimal JSON emitter shared by the machine-readable telemetry files
-// (BENCH_*.json, metrics reports): flat objects, arrays of objects, numbers
-// and strings only. Numbers are formatted with %.6g, so a given double
-// always serializes to the same bytes — the determinism checks that diff
-// these files byte-for-byte rely on that.
+// Minimal JSON emitter shared by the metrics reports and the city's JSONL
+// records: flat objects, arrays of objects, numbers and strings only.
+// Numbers are formatted with %.6g, so a given double always serializes to
+// the same bytes — the determinism checks that diff these outputs
+// byte-for-byte rely on that.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -29,16 +28,6 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t v) {
     comma();
     os_ << v;
-    return *this;
-  }
-  JsonWriter& value(int v) {
-    comma();
-    os_ << v;
-    return *this;
-  }
-  JsonWriter& value(bool v) {
-    comma();
-    os_ << (v ? "true" : "false");
     return *this;
   }
   JsonWriter& value(const std::string& v) {
@@ -76,13 +65,6 @@ class JsonWriter {
   }
 
   std::string str() const { return os_.str(); }
-
-  bool write_file(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) return false;
-    f << str() << '\n';
-    return static_cast<bool>(f);
-  }
 
  private:
   static std::string format_number(double v) {

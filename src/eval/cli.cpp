@@ -213,7 +213,7 @@ ExperimentConfig ExperimentCli::config() {
       sink_.registry());
 }
 
-void StreamCli::register_options(Cli& cli, bool with_metrics_option) {
+void StreamCli::register_options(Cli& cli) {
   cli.add_option("--block-size", &block_size_,
                  "samples per stream block (output is block-size invariant; "
                  "this only trades latency against per-block overhead)");
@@ -244,7 +244,7 @@ void StreamCli::register_options(Cli& cli, bool with_metrics_option) {
   cli.add_repeatable("--set", &sets_,
                      "call a write handler before the run: elem.handler=value "
                      "(repeatable, e.g. --set fir.set_taps=(0.9,0))");
-  if (with_metrics_option) sink_.register_options(cli);
+  sink_.register_options(cli);
 }
 
 bool parse_handler_write(const std::string& text, HandlerWrite& out) {

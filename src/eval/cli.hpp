@@ -187,12 +187,12 @@ struct HandlerWrite {
 /// a malformed string. Shared by StreamCli's --set and ffrelayd's presets.
 bool parse_handler_write(const std::string& text, HandlerWrite& out);
 
-/// The streaming-runtime surface shared by examples/streaming_relay and
-/// bench_runtime's stream_relay kernel: how the session is blocked
-/// (--block-size), how long it runs (--duration), how deep the bounded
-/// queues are (--backpressure), which scheduler executes it (--mode,
-/// --batch-size, --pin-cores), worker threads, the metrics sink, and the
-/// declarative surface (--graph file.ff, repeatable --set elem.handler=v).
+/// The streaming-runtime surface of examples/streaming_relay: how the
+/// session is blocked (--block-size), how long it runs (--duration), how
+/// deep the bounded queues are (--backpressure), which scheduler executes
+/// it (--mode, --batch-size, --pin-cores), the sample-path precision
+/// (--precision), worker threads, the metrics sink, and the declarative
+/// surface (--graph file.ff, repeatable --set elem.handler=v).
 ///
 /// The mode is kept as a validated string ("reference" | "throughput")
 /// rather than a stream::SchedulerMode so ff_eval stays independent of
@@ -201,10 +201,8 @@ bool parse_handler_write(const std::string& text, HandlerWrite& out);
 class StreamCli {
  public:
   /// Adds --block-size, --duration, --backpressure, --threads, --mode,
-  /// --batch-size, --pin-cores, --graph, --set, --metrics. Hosts that
-  /// already own a --metrics option (bench_runtime) pass
-  /// with_metrics_option = false to keep the option name unambiguous.
-  void register_options(Cli& cli, bool with_metrics_option = true);
+  /// --batch-size, --precision, --pin-cores, --graph, --set, --metrics.
+  void register_options(Cli& cli);
 
   /// Range-check the parsed values (block size, queue capacity and batch
   /// size >= 1, duration positive and finite, mode a known name, every

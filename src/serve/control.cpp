@@ -22,6 +22,17 @@ bool split_target(const std::string& target, ControlCommand& out) {
   return true;
 }
 
+/// `<head>\n` or `<head> <text>\n`, with every '\n' and '\r' in `text`
+/// turned into a space: a reply is exactly one line whatever a handler or
+/// an error detail holds.
+std::string reply_line(const std::string& head, const std::string& text) {
+  std::string line = head;
+  if (!text.empty()) line.push_back(' ');
+  for (const char c : text) line.push_back(c == '\n' || c == '\r' ? ' ' : c);
+  line.push_back('\n');
+  return line;
+}
+
 }  // namespace
 
 bool parse_control_line(const std::string& line, ControlCommand& out,
@@ -70,14 +81,11 @@ bool parse_control_line(const std::string& line, ControlCommand& out,
 }
 
 std::string ok_response(const std::string& payload) {
-  return payload.empty() ? "ok\n" : "ok " + payload + "\n";
+  return reply_line("ok", payload);
 }
 
 std::string err_response(const std::string& code, const std::string& detail) {
-  std::string flat;
-  flat.reserve(detail.size());
-  for (const char c : detail) flat.push_back(c == '\n' || c == '\r' ? ' ' : c);
-  return "err " + code + (flat.empty() ? "" : " " + flat) + "\n";
+  return reply_line("err " + code, detail);
 }
 
 bool LineBuffer::next_line(std::string& out) {

@@ -39,9 +39,9 @@ struct ControlCommand {
 bool parse_control_line(const std::string& line, ControlCommand& out,
                         std::string& error);
 
-/// `ok\n` or `ok <payload>\n`.
+/// `ok\n` or `ok <payload>\n` (payload has newlines replaced by spaces).
 std::string ok_response(const std::string& payload = "");
-/// `err <code> <detail>\n` (detail has newlines stripped).
+/// `err <code> <detail>\n` (detail has newlines replaced by spaces).
 std::string err_response(const std::string& code, const std::string& detail);
 
 /// Splits a byte stream into lines: append() raw reads, next_line() pops

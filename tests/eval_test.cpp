@@ -2,6 +2,11 @@
 // comparison, categorization, heatmaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/telemetry.hpp"
 #include "common/units.hpp"
 #include "eval/experiment.hpp"
 #include "eval/heatmap.hpp"
@@ -177,15 +182,45 @@ TEST(Schemes, RelayNoiseEntersTheRateComputation) {
 // ---------------------------------------------------------- checksum
 
 // The figure benches' sweep (bench_common.hpp's standard_run): its checksum
-// is the pinned experiment result, at any thread count.
+// is the pinned experiment result, at any thread count. Each run records
+// into a fresh registry, so this also proves that recording telemetry does
+// not move the results and that the ff-metrics-v1 snapshot, timer values
+// aside, is byte-identical however the locations were sharded.
 TEST(ExperimentResults, ChecksumPinnedAtOneAndFourThreads) {
+  // The metrics docs/OBSERVABILITY.md promises for an experiment run.
+  const std::vector<std::string> required = {
+      "eval.experiments",        "eval.locations",         "ff.kernels.isa",
+      "ff.kernels.precision",    "eval.category.low_snr_low_rank",
+      "eval.wins.ff",            "eval.median_mbps.ff",    "relay.design.ff",
+      "relay.design.gain_db",    "relay.cnf.split_error_db",
+      "eval.experiment.wall_us", "eval.location.wall_us"};
+  std::vector<std::string> canonical;
   for (const std::size_t threads : {1u, 4u}) {
+    MetricsRegistry registry;
     const auto results = run_experiment(ExperimentConfig::for_testbed(TestbedPreset::kMimo2x2)
                                             .with_clients(50)
                                             .with_seed(20140817)
-                                            .with_threads(threads));
+                                            .with_threads(threads)
+                                            .with_metrics(&registry));
     EXPECT_EQ(results.checksum(), 0x518fed5126199c41ULL) << threads << " threads";
+
+    const MetricsSnapshot snap = registry.snapshot();
+    canonical.push_back(snap.to_json(/*include_timer_values=*/false));
+    std::vector<std::string> names;
+    for (const auto* section : {&snap.counters, &snap.gauges, &snap.histograms, &snap.timers}) {
+      for (const auto& m : *section) names.push_back(m.name);
+    }
+    for (const auto& name : required) {
+      EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+          << name << " missing at " << threads << " threads";
+    }
+    for (const auto& c : snap.counters) {
+      if (c.name == "eval.locations") {
+        EXPECT_EQ(c.count, 200u) << "50 clients x 4 plans";
+      }
+    }
   }
+  EXPECT_EQ(canonical[0], canonical[1]);
 }
 
 // ---------------------------------------------------------- heatmap

@@ -330,8 +330,8 @@ TEST(LangDiagnostics, UndeclaredReferenceAndSyntaxErrors) {
 
 // ------------------------------------------- text == hand-wired, bit-exact
 
-/// The bench_runtime stream_relay session (tests/stream_test.cpp pins the
-/// hand-wired construction); here it is *serialized to text*, re-parsed and
+/// The pinned relay session (tests/stream_test.cpp pins the hand-wired
+/// construction); here it is *serialized to text*, re-parsed and
 /// rebuilt through the registry, and must reproduce the same samples.
 struct RelaySession {
   eval::TimeDomainLink link;

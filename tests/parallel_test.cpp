@@ -132,7 +132,7 @@ TEST(Seeding, ForkedStreamsAreIndependentOfSiblings) {
   // property that lets the city/experiment planning phase hand a private
   // stream to every parallel job.
   Rng master1(5);
-  Rng s0 = seeding::fork_named(master1, "site.0");
+  (void)seeding::fork_named(master1, "site.0");  // advances master1 as t0 advances master2
   Rng s1 = seeding::fork_named(master1, "site.1");
   const std::uint64_t first_of_s1 = s1.engine()();
 

@@ -2,11 +2,11 @@
 // elements, the control line protocol, atomic snapshots, and the relay
 // daemon end to end.
 //
-// The load-bearing test is SocketRelaySessionChecksumPinned: the
-// bench_runtime relay session run with its source and sink replaced by
-// socket transports (frames in over one Unix socket, frames out over
-// another) must reproduce the SAME pinned output checksum as the fully
-// in-process graph (tests/stream_test.cpp), at multiple frame sizes and
+// The load-bearing test is SocketRelaySessionChecksumPinned: the pinned
+// relay session run with its source and sink replaced by socket transports
+// (frames in over one Unix socket, frames out over another) must reproduce
+// the SAME pinned output checksum as the fully in-process graph
+// (tests/stream_test.cpp), at multiple frame sizes and
 // under both schedulers — the sender's framing chooses the receiver's
 // block structure, and the runtime is block-size invariant.
 #include <gtest/gtest.h>
@@ -223,6 +223,11 @@ TEST(Control, ResponsesAreSingleLines) {
   // Newlines in a detail must not break the one-line framing.
   const std::string multi = serve::err_response("bad-value", "line1\nline2");
   EXPECT_EQ(std::count(multi.begin(), multi.end(), '\n'), 1);
+  // Nor in an ok payload: a handler value may hold them (a config body can
+  // span lines), and a second line would read as the next command's reply.
+  const std::string ok = serve::ok_response("/tmp/a\nb\r\nc");
+  EXPECT_EQ(ok, "ok /tmp/a b  c\n");
+  EXPECT_EQ(std::count(ok.begin(), ok.end(), '\n'), 1);
 }
 
 TEST(Control, LineBufferSplitsStreamsAndStripsCr) {
@@ -309,8 +314,8 @@ TEST(FileTap, PassesThroughAndDumpsRawComplex128) {
 
 // ------------------------------- pinned checksum through socket transports
 
-/// The bench_runtime stream_relay session (same construction as
-/// tests/stream_test.cpp, which pins the in-process checksum).
+/// The pinned relay session (same construction as tests/stream_test.cpp,
+/// which pins the in-process checksum).
 struct RelaySession {
   eval::TimeDomainLink link;
   relay::PipelineConfig pipeline;
@@ -456,7 +461,7 @@ CVec run_socket_relay(const RelaySession& s, const CVec& input,
 
 TEST(SocketRelay, SessionChecksumPinnedAcrossFrameSizesAndModes) {
   // The exact constant the fully in-process graph pins
-  // (tests/stream_test.cpp, BENCH_runtime.json).
+  // (tests/stream_test.cpp).
   constexpr std::uint64_t kChecksum = 0xC4363E27ACCEB195ULL;
   const RelaySession session = make_relay_session();
   const CVec input = capture_source(session);

@@ -601,9 +601,8 @@ TEST(StreamThroughput, WatchdogAbortsStuckGraph) {
 
 // --------------------------------------- pinned relay-session checksum
 
-/// FNV-1a over raw bytes — the same fold bench_runtime uses for its stream
-/// checksums, so the constant below is directly comparable to
-/// BENCH_runtime.json.
+/// FNV-1a over the raw bytes of the session output: the fold every pinned
+/// stream checksum uses (docs/PERFORMANCE.md, "Checksum provenance").
 std::uint64_t fnv1a_bytes(const void* bytes, std::size_t len) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   const auto* p = static_cast<const unsigned char*>(bytes);
@@ -614,10 +613,11 @@ std::uint64_t fnv1a_bytes(const void* bytes, std::size_t len) {
   return h;
 }
 
-/// The bench_runtime stream_relay session (bench/bench_runtime.cpp,
-/// make_stream_setup + run_stream_once at the default knobs: 5 ms session,
-/// 256-sample blocks, capacity-8 channels). Reproduced here so the output
-/// checksum is pinned by a test, not just reported by a bench.
+/// The pinned relay session: the paper-home link at client (6, 4), MCS-3
+/// packets filling 5 ms at 4x oversampling, run through the hand-wired
+/// direct + relayed topology in 256-sample blocks over capacity-8 channels.
+/// lang_test and serve_test rebuild the same session from graph text and
+/// through sockets and pin the same constant.
 struct RelaySession {
   eval::TimeDomainLink link;
   relay::PipelineConfig pipeline;
@@ -709,7 +709,7 @@ CVec run_relay_session_samples(const RelaySession& s, const SchedulerConfig& sc_
 
   Scheduler(g, sc_in).run();
   CVec out = sink->take();
-  EXPECT_EQ(out.size(), 399360u);  // 1560 blocks of 256 (BENCH_runtime.json)
+  EXPECT_EQ(out.size(), 399360u);  // 1560 blocks of 256
   return out;
 }
 
@@ -720,14 +720,25 @@ std::uint64_t run_relay_session(const RelaySession& s, const SchedulerConfig& sc
 }
 
 TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
-  // The exact constant BENCH_runtime.json reports for the stream_relay
-  // kernel. If this moves, the streaming runtime changed the physics — at
-  // ANY chain partitioning and batch size, in either mode.
+  // The pinned f64 stream checksum. If this moves, the streaming runtime
+  // changed the physics — at ANY block size, worker count, chain
+  // partitioning and batch size, in either mode.
   constexpr std::uint64_t kChecksum = 0xC4363E27ACCEB195ULL;
   const RelaySession session = make_relay_session();
 
-  SchedulerConfig reference;
-  EXPECT_EQ(run_relay_session(session, reference), kChecksum);
+  // Reference mode across block sizes and level workers: per-sample (1),
+  // odd (7), small (64), default (256) and large (4096) blocks, the shapes
+  // where a vectorized block path could diverge from the per-sample one.
+  const struct {
+    std::size_t block, threads;
+  } reference_runs[] = {{1, 1},    {7, 2},    {64, 1},    {64, 4},
+                        {4096, 1}, {4096, 2}, {4096, 4}, {256, 1}, {256, 4}};
+  for (const auto& run : reference_runs) {
+    SchedulerConfig reference;
+    reference.threads = run.threads;
+    EXPECT_EQ(run_relay_session(session, reference, run.block), kChecksum)
+        << "block=" << run.block << " threads=" << run.threads;
+  }
 
   for (const std::size_t chains : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
