@@ -3,6 +3,9 @@
 // software model).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <random>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
@@ -424,6 +427,64 @@ void BM_ViterbiDecode(benchmark::State& state) {
                           static_cast<int64_t>(msg.size()));
 }
 BENCHMARK(BM_ViterbiDecode);
+
+// ---- random draws. The engine under every Rng against std::mt19937_64
+// (the same words, one per item), then the complex normal each caller adds
+// per sample (one per item): cgaussian is std::normal_distribution (link
+// synthesis, dsp::awgn), cgaussian_zig the ziggurat the f64 stream channel
+// adds, cgaussian32 its float narrowing, the f32 channel's.
+
+template <typename Engine>
+void draw_words(benchmark::State& state, Engine& engine) {
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 256; ++i) acc ^= engine();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
+}
+
+void BM_RngEngine(benchmark::State& state) {
+  Mt19937_64 engine(7);
+  draw_words(state, engine);
+}
+BENCHMARK(BM_RngEngine);
+
+void BM_RngEngineStd(benchmark::State& state) {
+  std::mt19937_64 engine(7);
+  draw_words(state, engine);
+}
+BENCHMARK(BM_RngEngineStd);
+
+template <typename Vec, typename Draw>
+void add_noise(benchmark::State& state, Draw draw) {
+  Vec y(256);
+  for (auto _ : state) {
+    for (auto& s : y) s += draw();
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(y.size()));
+}
+
+void BM_CGaussian(benchmark::State& state) {
+  Rng rng(7);
+  add_noise<CVec>(state, [&] { return rng.cgaussian(1e-3); });
+}
+BENCHMARK(BM_CGaussian);
+
+void BM_CGaussianZig(benchmark::State& state) {
+  Rng rng(7);
+  add_noise<CVec>(state, [&] { return rng.cgaussian_zig(1e-3); });
+}
+BENCHMARK(BM_CGaussianZig);
+
+void BM_CGaussian32(benchmark::State& state) {
+  Rng rng(7);
+  add_noise<CVec32>(state, [&] { return rng.cgaussian32(1e-3f); });
+}
+BENCHMARK(BM_CGaussian32);
 
 // ---- streaming runtime: the per-transfer cost of the pipeline scheduler's
 // SPSC ring, and the fixed per-round overhead of a whole scheduler pass

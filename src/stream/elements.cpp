@@ -295,9 +295,27 @@ void ChannelElement::add_handlers(HandlerRegistry& h) {
   });
 }
 
+namespace {
+
+// Runs before any ChannelElement member is built from the config: an
+// infinite rate would otherwise discretize the FIR from garbage first.
+ChannelElementConfig checked(ChannelElementConfig cfg) {
+  FF_CHECK_MSG(std::isfinite(cfg.sample_rate_hz) && cfg.sample_rate_hz > 0.0,
+               "ChannelElement sample_rate_hz must be positive and finite, got "
+                   << cfg.sample_rate_hz);
+  FF_CHECK_MSG(std::isfinite(cfg.noise_power) && cfg.noise_power >= 0.0,
+               "ChannelElement noise_power must be finite and >= 0, got " << cfg.noise_power);
+  FF_CHECK_MSG(std::isfinite(cfg.coherence_time_s) && cfg.coherence_time_s >= 0.0,
+               "ChannelElement coherence_time_s must be finite and >= 0, got "
+                   << cfg.coherence_time_s);
+  return cfg;
+}
+
+}  // namespace
+
 ChannelElement::ChannelElement(std::string name, ChannelElementConfig cfg)
     : Transform(std::move(name)),
-      cfg_(std::move(cfg)),
+      cfg_(checked(std::move(cfg))),
       drift_(cfg_.channel, cfg_.coherence_time_s > 0.0 ? cfg_.coherence_time_s : 1.0),
       fir_(cfg_.channel.empty()
                ? CVec{Complex{}}
@@ -305,12 +323,7 @@ ChannelElement::ChannelElement(std::string name, ChannelElementConfig cfg)
                                      cfg_.sinc_half_width)),
       fir32_(dsp::kernels::narrowed(fir_.taps())),
       noise_rng_(seeding::named_stream(cfg_.seed, "noise")),
-      drift_rng_(seeding::named_stream(cfg_.seed, "drift")) {
-  FF_CHECK_MSG(cfg_.sample_rate_hz > 0.0, "ChannelElement needs a positive sample rate");
-  FF_CHECK_MSG(cfg_.noise_power >= 0.0, "ChannelElement noise_power must be >= 0");
-  FF_CHECK_MSG(cfg_.coherence_time_s >= 0.0,
-               "ChannelElement coherence_time_s must be >= 0");
-}
+      drift_rng_(seeding::named_stream(cfg_.seed, "drift")) {}
 
 void ChannelElement::process(Block& block) {
   // Segment-wise between retune boundaries: retunes still land at exact
@@ -342,14 +355,11 @@ void ChannelElement::process(Block& block) {
       chunk = std::min<std::size_t>(
           chunk, static_cast<std::size_t>(interval - pos_ % interval));
     CMutSpan seg = samples.subspan(done, chunk);
+    // Both precisions add Rng's ziggurat noise, drawn per sample in stream
+    // order, so either stream is invariant to blocking. The f32 branch adds
+    // the same draws rounded to float.
     if (cfg_.precision == Precision::kF32) {
-      // Narrow once, stay f32 through the FIR and the noise add. The noise
-      // comes from Rng::cgaussian32 — the float32 family's own draw
-      // sequence (same named engine stream, float polar method, several
-      // times cheaper than the double draws): a float32 channel pays
-      // float32 prices for its noise, and the f32 checksum family pins the
-      // result. Draws are still consumed per-sample in stream order, so
-      // the f32 stream is invariant to blocking for the same reason kF64 is.
+      // Narrow once, stay f32 through the FIR and the noise add.
       CMutSpan32 seg32 = ws_.get<float>(1, chunk);  // f32 slot 0 = FIR scratch
       dsp::kernels::narrow(seg, seg32);
       fir32_.process_into(seg32, seg32, ws_);
@@ -360,8 +370,10 @@ void ChannelElement::process(Block& block) {
       dsp::kernels::widen(seg32, seg);
     } else {
       fir_.process_into(seg, seg, ws_);
-      if (cfg_.noise_power > 0.0)
-        for (auto& s : seg) s += noise_rng_.cgaussian(cfg_.noise_power);
+      if (cfg_.noise_power > 0.0) {
+        const double np = cfg_.noise_power;
+        for (auto& s : seg) s += noise_rng_.cgaussian_zig(np);
+      }
     }
     pos_ += chunk;
     done += chunk;

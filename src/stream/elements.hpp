@@ -206,10 +206,11 @@ struct ChannelElementConfig {
   /// so drift is block-size invariant. 0 = never retune (static FIR).
   std::size_t retune_interval_samples = 0;
   std::uint64_t seed = 0x5EED;
-  /// kF32 runs the channel FIR on the float32 kernel family (narrow on
-  /// segment entry, widen before the noise add). Discretization, drift and
-  /// the noise RNG stay double — the same draws in the same order as kF64,
-  /// so the f32 stream keeps its own block-size/thread-invariant checksum.
+  /// kF32 narrows each segment on entry, runs the channel FIR on the
+  /// float32 kernel family, adds the noise in float and widens on exit.
+  /// Discretization and drift stay double. The noise is kF64's draws, in
+  /// the same order, rounded to float (Rng::cgaussian32), so the f32 stream
+  /// keeps its own block-size/thread-invariant checksum.
   Precision precision = Precision::kF64;
 };
 
