@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 
+#include "channel/cfo.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
@@ -13,6 +14,7 @@
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/kernels/workspace.hpp"
 #include "dsp/noise.hpp"
+#include "dsp/resample.hpp"
 #include "fullduplex/digital_canceller.hpp"
 #include "fullduplex/stack.hpp"
 #include "phy/fec.hpp"
@@ -485,6 +487,65 @@ void BM_CGaussian32(benchmark::State& state) {
   add_noise<CVec32>(state, [&] { return rng.cgaussian32(1e-3f); });
 }
 BENCHMARK(BM_CGaussian32);
+
+// ---- closed forms kept off the per-sample path. The CFO rotator at both
+// widths on the relay's 4096-sample block (one phasor recurrence, one
+// sincos per 256 samples), and the 4x polyphase resamplers on one MCS-1,
+// 600-bit packet: the stream source's interpolator and the client's
+// decimator. Items are high-rate samples.
+
+void BM_CfoRotator(benchmark::State& state) {
+  channel::CfoRotator rot(4036.5, 80e6);
+  Rng rng(12);
+  CVec x(4096), out(4096);
+  for (auto& v : x) v = rng.cgaussian();
+  for (auto _ : state) {
+    rot.process_into(x, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_CfoRotator);
+
+void BM_CfoRotatorF32(benchmark::State& state) {
+  channel::CfoRotator rot(4036.5, 80e6);
+  dsp::kernels::Workspace ws;
+  Rng rng(12);
+  CVec32 x(4096), out(4096);
+  for (auto& v : x) v = rng.cgaussian32(1.0f);
+  for (auto _ : state) {
+    rot.process_into(x, out, ws);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_CfoRotatorF32);
+
+CVec mcs1_packet() {
+  const phy::Transmitter tx(phy::OfdmParams{});
+  Rng rng(9);
+  std::vector<std::uint8_t> payload(600);
+  for (auto& b : payload) b = rng.bernoulli(0.5) ? 1 : 0;
+  return tx.modulate(payload, {.mcs_index = 1});
+}
+
+void BM_Upsample4(benchmark::State& state) {
+  const CVec pkt = mcs1_packet();
+  for (auto _ : state) benchmark::DoNotOptimize(dsp::upsample(pkt, 4));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(4 * pkt.size()));
+}
+BENCHMARK(BM_Upsample4);
+
+void BM_Downsample4(benchmark::State& state) {
+  const CVec hi = dsp::upsample(mcs1_packet(), 4);
+  for (auto _ : state) benchmark::DoNotOptimize(dsp::downsample(hi, 4));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(hi.size()));
+}
+BENCHMARK(BM_Downsample4);
 
 // ---- streaming runtime: the per-transfer cost of the pipeline scheduler's
 // SPSC ring, and the fixed per-round overhead of a whole scheduler pass

@@ -28,9 +28,13 @@ class CfoRotator {
   /// exactly x.size() samples and may alias `x` — the streaming runtime's
   /// allocation-free block path.
   ///
-  /// The phase recurrence (including the wrap at +/-2pi) advances scalar and
-  /// sample-sequential — only the complex multiply is vectorized
-  /// (kernels::rotate_phasor over a per-block phasor table) — so the
+  /// Every overload draws its phasors from one generator. The phase
+  /// recurrence (including the wrap at +/-2pi) advances in double, scalar
+  /// and sample-sequential. The per-sample phasor comes from a double
+  /// complex-rotation recurrence re-anchored with one sincos every 256
+  /// samples at absolute stream positions (within ~1.5e-13 of per-sample
+  /// sincos). Only the complex multiply is vectorized
+  /// (kernels::rotate_phasor over a per-block phasor table), so the
   /// rotation is bit-identical at any block size.
   void process_into(CSpan x, CMutSpan out);
 
@@ -38,19 +42,20 @@ class CfoRotator {
   /// (slot 0) shared across an owning pipeline's stages.
   void process_into(CSpan x, CMutSpan out, dsp::kernels::Workspace& ws);
 
-  /// Float32 block path (the mixed-precision relay fast path). The phase
-  /// recurrence stays DOUBLE and advances exactly as the f64 paths do — a
-  /// rotator's phase never loses precision to the sample format — but the
-  /// per-sample phasor comes from a double rotation recurrence re-anchored
-  /// with one sincos every 256 samples at absolute stream positions (so the
-  /// bits stay block-size invariant), then narrowed once to f32 before the
-  /// f32 rotate kernel. Phasor table: the Workspace's f32 slot 0.
+  /// Float32 block path (the mixed-precision relay fast path). The same
+  /// double phase and phasor recurrence as the f64 paths — a rotator's
+  /// phase never loses precision to the sample format — with each phasor
+  /// narrowed once to f32 before the f32 rotate kernel, so an f32 block's
+  /// phasors are the f64 path's rounded to float. Phasor table: the
+  /// Workspace's f32 slot 0.
   void process_into(CSpan32 x, CMutSpan32 out, dsp::kernels::Workspace& ws);
 
   /// Retune the oscillator frequency while keeping the accumulated phase —
   /// a real oscillator drifts continuously, it never phase-jumps. This is
   /// the retune path for long-running streams; constructing a fresh rotator
-  /// instead would reset the phase and glitch the stream.
+  /// instead would reset the phase and glitch the stream. Here and in the
+  /// constructor the per-sample step is reduced into (-pi, pi], so a CFO at
+  /// or beyond the sample rate aliases in band.
   void set_cfo(double cfo_hz, double sample_rate_hz);
 
   /// Current accumulated phase (radians).
@@ -58,22 +63,25 @@ class CfoRotator {
 
   void reset(double initial_phase_rad = 0.0) {
     phase_ = initial_phase_rad;
-    pos32_ = 0;  // re-anchor the f32 phasor recurrence on the next block
+    pos_ = 0;  // re-anchor the phasor recurrence on the next sample
   }
 
  private:
+  // Writes the next phasors.size() phasors and advances the stream.
+  template <typename T>
+  void fill_phasors(std::span<std::complex<T>> phasors);
+
   double cfo_hz_;
   double step_rad_;
   double phase_;
-  // Float32 fast-path state: a double phasor recurrence stands in for
-  // per-sample sincos, re-anchored at absolute positions (see the CSpan32
-  // process_into overload). pos32_ counts f32 samples since reset().
+  // Phasor recurrence: (rec_cos_, rec_sin_) is advanced by the step's
+  // (step_cos_, step_sin_) and re-anchored at absolute positions; pos_
+  // counts samples of either width since reset().
   double rec_cos_ = 1.0;
   double rec_sin_ = 0.0;
-  double step_cos_ = 1.0;
-  double step_sin_ = 0.0;
-  bool step_trig_cached_ = false;
-  std::uint64_t pos32_ = 0;
+  double step_cos_;
+  double step_sin_;
+  std::uint64_t pos_ = 0;
   dsp::kernels::Workspace ws_;  // phasor table for the two-arg process_into
 };
 

@@ -1,10 +1,12 @@
 #include "dsp/resample.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
 #include "common/units.hpp"
 #include "dsp/fir.hpp"
+#include "dsp/kernels/kernels.hpp"
 
 namespace ff::dsp {
 
@@ -33,10 +35,27 @@ std::size_t resample_group_delay(std::size_t factor, std::size_t half_width) {
 CVec upsample(CSpan x, std::size_t factor, std::size_t half_width) {
   FF_CHECK(factor >= 1);
   if (factor == 1) return CVec(x.begin(), x.end());
-  CVec stuffed(x.size() * factor, Complex{});
-  for (std::size_t i = 0; i < x.size(); ++i) stuffed[i * factor] = x[i];
   const CVec kernel = resample_kernel(factor, half_width);
-  CVec out = filter(kernel, stuffed);  // passband gain 1 after zero-stuffing
+  // Polyphase form of "zero-stuff, then filter with `kernel`": output
+  // m*factor + p only meets the non-zero stuffed samples through taps
+  // kernel[p], kernel[p + factor], ... applied to x[m], x[m - 1], ... Each
+  // phase runs fir_core over [zero history | x] with exactly those taps in
+  // ascending order, so every output accumulates the same non-zero products
+  // in the same order. The terms the stuffed form also adds are h * (+-0):
+  // under round-to-nearest adding +-0 never changes a non-zero sum and never
+  // turns the +0-initialised sum into -0, so the result is bit-identical.
+  const std::size_t n = x.size();
+  const std::size_t hist = (kernel.size() - 1) / factor;  // longest phase - 1
+  CVec ext(hist + n, Complex{});
+  std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(hist));
+  CVec taps, y(n);
+  CVec out(n * factor);
+  for (std::size_t p = 0; p < factor; ++p) {
+    taps.clear();
+    for (std::size_t k = p; k < kernel.size(); k += factor) taps.push_back(kernel[k]);
+    fir_core(taps, ext.data() + (hist + 1 - taps.size()), y);
+    for (std::size_t m = 0; m < n; ++m) out[m * factor + p] = y[m];
+  }
   return out;
 }
 
@@ -44,10 +63,27 @@ CVec downsample(CSpan x, std::size_t factor, std::size_t half_width) {
   FF_CHECK(factor >= 1);
   if (factor == 1) return CVec(x.begin(), x.end());
   const CVec kernel = resample_kernel(factor, half_width);
-  CVec filtered = filter(kernel, x);
-  CVec out(x.size() / factor);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = filtered[i * factor] / static_cast<double>(factor);
+  // Only every factor-th filter output is kept, so compute only those:
+  // output i is sum_k kernel[k] * ext[i*factor + d] with d = H - k over
+  // ext = [H zeros | x]. De-interleave ext into `factor` phase arrays so the
+  // samples tap k meets are contiguous (phase d % factor from offset
+  // d / factor), then run one axpy per tap, taps ascending — the order
+  // fir_core uses — so the kept samples are bit-identical to filtering at
+  // the full rate and decimating.
+  const std::size_t hist = kernel.size() - 1;
+  const std::size_t ext_len = hist + x.size();
+  const std::size_t phase_len = (ext_len + factor - 1) / factor;
+  CVec phases(factor * phase_len, Complex{});
+  for (std::size_t j = hist; j < ext_len; ++j)
+    phases[(j % factor) * phase_len + j / factor] = x[j - hist];
+  CVec out(x.size() / factor, Complex{});
+  for (std::size_t k = 0; k <= hist; ++k) {
+    const std::size_t d = hist - k;
+    kernels::axpy(kernel[k],
+                  CSpan{phases.data() + (d % factor) * phase_len + d / factor, out.size()},
+                  out);
+  }
+  for (auto& v : out) v /= static_cast<double>(factor);
   return out;
 }
 

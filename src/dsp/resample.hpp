@@ -15,14 +15,18 @@ namespace ff::dsp {
 
 /// Upsample by an integer factor: zero-stuff then interpolate with a
 /// Hamming-windowed sinc low-pass (cutoff Nyquist/factor, passband gain 1).
-/// Output length = x.size() * factor; the interpolation filter's group
-/// delay (half_width * factor samples at the high rate) is NOT removed —
-/// callers tracking absolute timing must account for it (or apply the same
-/// operator to every parallel path, as the link simulator does).
+/// Computed in polyphase form — one short FIR per output phase over x, so
+/// no multiply meets a stuffed zero — and bit-identical to filtering the
+/// zero-stuffed stream. Output length = x.size() * factor; the
+/// interpolation filter's group delay (half_width * factor samples at the
+/// high rate) is NOT removed — callers tracking absolute timing must
+/// account for it (or apply the same operator to every parallel path, as
+/// the link simulator does).
 CVec upsample(CSpan x, std::size_t factor, std::size_t half_width = 12);
 
 /// Downsample by an integer factor with the matching anti-alias filter.
-/// Output length = x.size() / factor.
+/// Only the kept samples are computed, bit-identical to filtering at the
+/// full rate and keeping every factor-th. Output length = x.size() / factor.
 CVec downsample(CSpan x, std::size_t factor, std::size_t half_width = 12);
 
 /// The interpolation low-pass used by both directions (exposed for tests).

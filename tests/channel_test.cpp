@@ -2,7 +2,9 @@
 // MIMO structure, CFO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "channel/cfo.hpp"
 #include "channel/floorplan.hpp"
@@ -14,6 +16,8 @@
 #include "common/units.hpp"
 #include "dsp/correlation.hpp"
 #include "dsp/fir.hpp"
+#include "dsp/kernels/kernels.hpp"
+#include "dsp/kernels/workspace.hpp"
 #include "dsp/noise.hpp"
 #include "linalg/matrix.hpp"
 
@@ -337,6 +341,113 @@ TEST(Cfo, SetCfoRetunesWithPhaseContinuity) {
   const CVec want = ref.process(ones);
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_NEAR(std::abs(got[i] - want[i]), 0.0, 1e-12) << "sample " << i;
+}
+
+TEST(Cfo, StepAboveSampleRateAliasesInBand) {
+  // 3 fs + f rotates by the same angle per sample as f. Unless the rotator
+  // reduces the step into (-pi, pi], its once-per-sample 2pi wrap cannot
+  // keep up: the phase grows without bound and loses precision with it.
+  const double fs = 80e6, f = 31.4e3;
+  const CVec ones(std::size_t{1} << 20, Complex{1.0, 0.0});
+  channel::CfoRotator aliased(3.0 * fs + f, fs), in_band(f, fs);
+  const CVec a = aliased.process(ones);
+  const CVec b = in_band.process(ones);
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < ones.size(); ++i)
+    max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
+  EXPECT_LT(max_diff, 1e-8);
+  EXPECT_LE(std::abs(aliased.phase()), kTwoPi);
+}
+
+// The f64 rotator as it ran before it shared the anchored phasor
+// recurrence: one cos and one sin of the running phase per sample.
+class PerSampleSincosRotator {
+ public:
+  PerSampleSincosRotator(double cfo_hz, double fs) { set_cfo(cfo_hz, fs); }
+  void set_cfo(double cfo_hz, double fs) { step_rad_ = kTwoPi * cfo_hz / fs; }
+  void process_into(CSpan x, CMutSpan out) {
+    CMutSpan phasors = ws_.get(0, x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      phasors[i] = {std::cos(phase_), std::sin(phase_)};
+      phase_ += step_rad_;
+      if (phase_ > kTwoPi) phase_ -= kTwoPi;
+      if (phase_ < -kTwoPi) phase_ += kTwoPi;
+    }
+    dsp::kernels::rotate_phasor(x, phasors, out);
+  }
+
+ private:
+  double step_rad_ = 0.0;
+  double phase_ = 0.0;
+  dsp::kernels::Workspace ws_;
+};
+
+TEST(Cfo, F64TracksPerSampleSincos) {
+  // Over 10^6 samples the recurrence phasors stay within 1e-12 of
+  // per-sample sincos, including across a retune at a position that is
+  // not an anchor (1000 % 256 != 0), where the recurrence carries on with
+  // the new step until the next anchor.
+  struct Case {
+    double cfo_hz, fs, retune_hz;
+  };
+  constexpr Case kCases[] = {{4036.5, 80e6, -4036.5}, {31.4e3, 80e6, 12.5e3},
+                             {31.4e3, 20e6, 900e3},   {-40e3, 20e6, 31.4e3},
+                             {900e3, 20e6, -9.99e6},  {9.99e6, 20e6, -40e3}};
+  constexpr std::size_t kSamples = 1000000, kRetuneAt = 1000, kBlock = 4096;
+  const CVec ones(kBlock, Complex{1.0, 0.0});
+  CVec got(kBlock), want(kBlock);
+  for (const Case& c : kCases) {
+    channel::CfoRotator rot(c.cfo_hz, c.fs);
+    PerSampleSincosRotator ref(c.cfo_hz, c.fs);
+    double max_dev = 0.0;
+    for (std::size_t pos = 0; pos < kSamples;) {
+      if (pos == kRetuneAt) {
+        rot.set_cfo(c.retune_hz, c.fs);
+        ref.set_cfo(c.retune_hz, c.fs);
+      }
+      const std::size_t end = std::min(kSamples, pos < kRetuneAt ? kRetuneAt : pos + kBlock);
+      const std::size_t n = end - pos;
+      rot.process_into(CSpan{ones.data(), n}, CMutSpan{got.data(), n});
+      ref.process_into(CSpan{ones.data(), n}, CMutSpan{want.data(), n});
+      for (std::size_t i = 0; i < n; ++i) max_dev = std::max(max_dev, std::abs(got[i] - want[i]));
+      pos = end;
+    }
+    EXPECT_LE(max_dev, 1e-12) << "cfo=" << c.cfo_hz << " fs=" << c.fs;
+  }
+}
+
+TEST(Cfo, F32PhasorsAreNarrowedF64) {
+  // Both widths read one phasor stream: a rotator alternating f64 and f32
+  // blocks emits, block for block, what an all-f64 rotator emits — exactly
+  // in its f64 blocks, rounded to float in its f32 blocks.
+  const double fs = 20e6, cfo = 31.4e3;
+  constexpr std::size_t kSizes[] = {1, 7, 300};
+  constexpr std::size_t kBlocks = 24;  // 4 x 616 samples: crosses 9 anchors
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < kBlocks; ++b) total += kSizes[b % 3];
+
+  channel::CfoRotator all_f64(cfo, fs), mixed(cfo, fs);
+  const CVec reference = all_f64.process(CVec(total, Complex{1.0, 0.0}));
+  dsp::kernels::Workspace ws;
+  std::size_t pos = 0;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const std::size_t n = kSizes[b % 3];
+    const CSpan want{reference.data() + pos, n};
+    if (b % 2 == 0) {
+      const CVec got = mixed.process(CVec(n, Complex{1.0, 0.0}));
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(Complex)), 0)
+          << "f64 block " << b << " at sample " << pos;
+    } else {
+      const CVec32 ones32(n, Complex32{1.0f, 0.0f});
+      CVec32 got(n), narrowed(n);
+      mixed.process_into(ones32, got, ws);
+      dsp::kernels::narrow(want, narrowed);
+      EXPECT_EQ(std::memcmp(got.data(), narrowed.data(), n * sizeof(Complex32)), 0)
+          << "f32 block " << b << " at sample " << pos;
+    }
+    pos += n;
+  }
+  EXPECT_EQ(mixed.phase(), all_f64.phase());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -433,6 +434,72 @@ TEST(Resample, SingleSampleRoundTrip) {
 TEST(Resample, EmptyInputStaysEmpty) {
   EXPECT_TRUE(dsp::upsample(CVec{}, 4).empty());
   EXPECT_TRUE(dsp::downsample(CVec{}, 4).empty());
+}
+
+// The formulas the resamplers computed before their polyphase forms, kept
+// as bit-level oracles: zero-stuff then filter at the high rate, and filter
+// at the high rate then keep every factor-th sample.
+CVec upsample_by_zero_stuffing(const CVec& x, std::size_t factor, std::size_t half_width) {
+  CVec stuffed(x.size() * factor, Complex{});
+  for (std::size_t i = 0; i < x.size(); ++i) stuffed[i * factor] = x[i];
+  return dsp::filter(dsp::resample_kernel(factor, half_width), stuffed);
+}
+
+CVec downsample_by_decimating(const CVec& x, std::size_t factor, std::size_t half_width) {
+  const CVec filtered = dsp::filter(dsp::resample_kernel(factor, half_width), x);
+  CVec out(x.size() / factor);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = filtered[i * factor] / static_cast<double>(factor);
+  return out;
+}
+
+// Gaussian samples with exact +0 and -0 components mixed in: the polyphase
+// upsampler's bit-identity rests on how signed zeros accumulate.
+CVec signed_zero_input(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  CVec x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Complex v = rng.cgaussian();
+    switch (i % 5) {
+      case 1: x[i] = {0.0, v.imag()}; break;
+      case 2: x[i] = {-0.0, -0.0}; break;
+      case 3: x[i] = {v.real(), -0.0}; break;
+      case 4: x[i] = {0.0, 0.0}; break;
+      default: x[i] = v;
+    }
+  }
+  return x;
+}
+
+bool same_bits(const CVec& a, const CVec& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0);
+}
+
+constexpr std::size_t kResampleFactors[] = {2, 3, 4, 5};
+constexpr std::size_t kResampleHalfWidths[] = {1, 3, 12};
+constexpr std::size_t kResampleLengths[] = {1, 2, 5, 7, 97, 600, 2001};
+
+TEST(Resample, UpsampleMatchesZeroStuffedFilterBitForBit) {
+  for (const std::size_t factor : kResampleFactors)
+    for (const std::size_t hw : kResampleHalfWidths)
+      for (const std::size_t n : kResampleLengths) {
+        const CVec x = signed_zero_input(n, 100 * factor + 10 * hw + n);
+        EXPECT_TRUE(same_bits(dsp::upsample(x, factor, hw),
+                              upsample_by_zero_stuffing(x, factor, hw)))
+            << "factor=" << factor << " half_width=" << hw << " n=" << n;
+      }
+}
+
+TEST(Resample, DownsampleMatchesFilterThenDecimateBitForBit) {
+  for (const std::size_t factor : kResampleFactors)
+    for (const std::size_t hw : kResampleHalfWidths)
+      for (const std::size_t n : kResampleLengths) {
+        const CVec x = signed_zero_input(n, 200 * factor + 10 * hw + n);
+        EXPECT_TRUE(same_bits(dsp::downsample(x, factor, hw),
+                              downsample_by_decimating(x, factor, hw)))
+            << "factor=" << factor << " half_width=" << hw << " n=" << n;
+      }
 }
 
 TEST(Fir, ProcessIntoMatchesProcessAndSupportsAliasing) {

@@ -171,11 +171,21 @@ TEST(StreamInvariance, FirMatchesBatchAtEveryBlockSize) {
 
 TEST(StreamInvariance, CfoMatchesBatchAtEveryBlockSize) {
   const CVec x = random_signal(3000, 7);
-  const double fs = 20e6, cfo = 31.4e3;
-  const CVec batch = channel::apply_cfo(x, cfo, fs);
+  const double fs = 20e6, cfo = 31.4e3, retune = -12.5e3;
+  // A set_cfo write at a sample that is not a phasor anchor (1000 % 256 !=
+  // 0): the recurrence carries across the retune identically however the
+  // stream is blocked.
+  constexpr std::size_t kRetuneAt = 1000;
+  channel::CfoRotator rot(cfo, fs);
+  CVec batch = rot.process(CSpan{x.data(), kRetuneAt});
+  rot.set_cfo(retune, fs);
+  const CVec tail = rot.process(CSpan{x}.subspan(kRetuneAt));
+  batch.insert(batch.end(), tail.begin(), tail.end());
   for (const std::size_t bs : kBlockSizes) {
     const CVec out = run_single_transform(x, bs, [&] {
-      return std::make_unique<stream::CfoElement>("cfo", cfo, fs);
+      auto e = std::make_unique<stream::CfoElement>("cfo", cfo, fs);
+      e->write_at(kRetuneAt, "set_cfo", "-12500");
+      return e;
     });
     ASSERT_EQ(out.size(), batch.size());
     for (std::size_t i = 0; i < out.size(); ++i)
@@ -742,7 +752,7 @@ TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
   // The pinned f64 stream checksum. If this moves, the streaming runtime
   // changed the physics — at ANY block size, worker count, chain
   // partitioning and batch size, in either mode.
-  constexpr std::uint64_t kChecksum = 0xF7ADDBE0AED8D200ULL;
+  constexpr std::uint64_t kChecksum = 0x5976A3D74B77B0C8ULL;
   const RelaySession session = make_relay_session();
 
   // Reference mode across block sizes and level workers: per-sample (1),
@@ -775,7 +785,7 @@ TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
 
 // The f32 relay session has its OWN pinned checksum (docs/PERFORMANCE.md,
 // "The float32 family"): a different constant from the f64 session's
-// f7addbe0aed8d200, but held to the same invariance contract — one value no
+// 5976a3d74b77b0c8, but held to the same invariance contract — one value no
 // matter how the stream is blocked, how many workers run it, which
 // scheduler executes it, or (via the release-nosimd preset re-running this
 // binary) which ISA the kernels dispatched to.
