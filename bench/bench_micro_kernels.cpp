@@ -80,10 +80,8 @@ BENCHMARK(BM_CmulSimd);
 // ---- float32 family: the same dispatched kernels with float lanes (double
 // the SIMD width per register, kernels.hpp "float32 family"). Each row pairs
 // with its f64 twin above/below so the width gain is a row-to-row ratio:
-// BM_CmulSimd <-> BM_CmulF32Simd, BM_Fft64 <-> BM_Fft64F32,
-// BM_FirCoreF64 <-> BM_FirCoreF32, BM_CancellerApplyF64 <-> ...F32. The f32
-// FFT stages have no AVX2 body (no session runs them), so BM_Fft64F32 times
-// the scalar f32 FFT against the dispatched f64 one.
+// BM_CmulSimd <-> BM_CmulF32Simd, BM_FirCoreF64 <-> BM_FirCoreF32,
+// BM_CancellerApplyF64 <-> ...F32.
 
 void BM_CmulF32Simd(benchmark::State& state) {
   Rng rng(11);
@@ -101,21 +99,6 @@ void BM_CmulF32Simd(benchmark::State& state) {
                           static_cast<int64_t>(a.size()));
 }
 BENCHMARK(BM_CmulF32Simd);
-
-void BM_Fft64F32(benchmark::State& state) {
-  const dsp::FftPlan32 plan(64);
-  Rng rng(1);
-  CVec wide(64);
-  for (auto& v : wide) v = rng.cgaussian();
-  dsp::kernels::AlignedCVec32 x(64);
-  dsp::kernels::narrow(wide, x);
-  for (auto _ : state) {
-    plan.forward(x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_Fft64F32);
 
 void BM_Fft64Radix2(benchmark::State& state) {
   const dsp::FftPlan plan(64);

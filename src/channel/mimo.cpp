@@ -64,11 +64,6 @@ double MimoChannel::mean_power_gain() const {
   return acc / static_cast<double>(n_rx_ * n_tx_);
 }
 
-double MimoChannel::mean_power_gain_db() const {
-  const double p = mean_power_gain();
-  return p > 0.0 ? db_from_power(p) : -400.0;
-}
-
 MultipathChannel MimoChannel::subchannel(std::size_t rx, std::size_t tx) const {
   FF_CHECK(rx < n_rx_ && tx < n_tx_);
   std::vector<PathTap> taps;

@@ -50,7 +50,6 @@ class MimoChannel {
   /// Average per-antenna-pair power gain: ||H||_F^2 / (n_rx * n_tx) averaged
   /// over paths (frequency-flat aggregate).
   double mean_power_gain() const;
-  double mean_power_gain_db() const;
 
   /// Scalar sub-channel between rx antenna i and tx antenna j.
   MultipathChannel subchannel(std::size_t rx, std::size_t tx) const;

@@ -103,11 +103,4 @@ MultipathChannel MultipathChannel::combine(const MultipathChannel& a,
   return MultipathChannel(std::move(taps), a.empty() ? b.carrier_hz_ : a.carrier_hz_);
 }
 
-CVec cascade_response(const MultipathChannel& a, const MultipathChannel& b, RSpan f_bb_hz) {
-  CVec out(f_bb_hz.size());
-  for (std::size_t i = 0; i < f_bb_hz.size(); ++i)
-    out[i] = a.response(f_bb_hz[i]) * b.response(f_bb_hz[i]);
-  return out;
-}
-
 }  // namespace ff::channel

@@ -9,14 +9,6 @@
 
 namespace ff {
 
-bool affinity_supported() {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 std::size_t visible_cpu_count() {
 #if defined(__linux__)
   cpu_set_t set;

@@ -13,11 +13,6 @@
 
 namespace ff {
 
-/// True when the platform has a usable thread-affinity API compiled in
-/// (Linux pthread_setaffinity_np). False means pin_current_thread_to_core
-/// always returns false without attempting anything.
-bool affinity_supported();
-
 /// Number of CPUs the calling thread may run on right now (the affinity
 /// mask cardinality where available, else std::thread::hardware_concurrency,
 /// else 1). This is what a cgroup-limited CI container actually sees.

@@ -1,6 +1,7 @@
 #include "dsp/fft.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -16,12 +17,9 @@ namespace {
 // Per-thread Stockham ping-pong scratch (2n: one staging buffer plus one
 // pre-copy buffer for odd-stage-count in-place transforms). Thread-local so
 // shared cached plans stay immutable and lock-free across workers; grows to
-// the largest size a thread has used and is then allocation-free. One
-// buffer per lane type, so mixed-precision callers on one thread don't
-// evict each other's steady-state size.
-template <typename T>
-std::complex<T>* tl_scratch(std::size_t n) {
-  thread_local kernels::AlignedVec<std::complex<T>> buf;
+// the largest size a thread has used and is then allocation-free.
+Complex* tl_scratch(std::size_t n) {
+  thread_local kernels::AlignedCVec buf;
   if (buf.size() < 2 * n) buf.resize(2 * n);
   return buf.data();
 }
@@ -40,35 +38,29 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
-template <typename T>
-BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   FF_CHECK_MSG(is_power_of_two(n) && n >= 2, "FFT size must be a power of two >= 2, got " << n);
-  if constexpr (std::is_same_v<T, double>) {
-    bitrev_.resize(n_);
-    std::size_t log2n = 0;
-    while ((std::size_t{1} << log2n) < n_) ++log2n;
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::size_t r = 0;
-      for (std::size_t b = 0; b < log2n; ++b)
-        if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
-      bitrev_[i] = r;
-    }
-    twiddle_.resize(n_ / 2);
-    inv_twiddle_.resize(n_ / 2);
-    for (std::size_t k = 0; k < n_ / 2; ++k) {
-      const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n_);
-      twiddle_[k] = {std::cos(ang), std::sin(ang)};
-      inv_twiddle_[k] = std::conj(twiddle_[k]);
-    }
+  bitrev_.resize(n_);
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n_) ++log2n;
+  for (std::size_t i = 0; i < n_; ++i) {
+    std::size_t r = 0;
+    for (std::size_t b = 0; b < log2n; ++b)
+      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
+    bitrev_[i] = r;
+  }
+  twiddle_.resize(n_ / 2);
+  for (std::size_t k = 0; k < n_ / 2; ++k) {
+    const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n_);
+    twiddle_[k] = {std::cos(ang), std::sin(ang)};
   }
 
   // Mixed-radix Stockham schedule: decimate-in-frequency, radix 4 whenever
   // the remaining sub-transform length allows, one radix-2 stage otherwise
   // (exactly once, when log2(n) is odd — it lands last, where m is largest
-  // and the stage kernel vectorizes best). Angles are evaluated in double
-  // and rounded once to T.
+  // and the stage kernel vectorizes best).
   const auto push_twiddle = [this](double ang) {
-    stage_tw_.push_back({static_cast<T>(std::cos(ang)), static_cast<T>(std::sin(ang))});
+    stage_tw_.push_back({std::cos(ang), std::sin(ang)});
   };
   std::size_t len = n_;
   std::size_t m = 1;
@@ -92,34 +84,30 @@ BasicFftPlan<T>::BasicFftPlan(std::size_t n) : n_(n) {
     stage_tw_inv_[i] = std::conj(stage_tw_[i]);
 }
 
-template <typename T>
-const BasicFftPlan<T>& BasicFftPlan<T>::cached(std::size_t n) {
+const FftPlan& FftPlan::cached(std::size_t n) {
   // Plans are immutable, so only the map itself needs the lock; callers keep
   // using the returned plan lock-free. Entries live for the whole process.
   static std::mutex mutex;
-  static std::map<std::size_t, std::unique_ptr<BasicFftPlan>>* cache =
-      new std::map<std::size_t, std::unique_ptr<BasicFftPlan>>();
+  static std::map<std::size_t, std::unique_ptr<FftPlan>>* cache =
+      new std::map<std::size_t, std::unique_ptr<FftPlan>>();
   const std::lock_guard<std::mutex> lk(mutex);
   auto& slot = (*cache)[n];
-  if (!slot) slot = std::make_unique<BasicFftPlan>(n);
+  if (!slot) slot = std::make_unique<FftPlan>(n);
   return *slot;
 }
 
-template <typename T>
-template <bool kInvert>
-void BasicFftPlan<T>::transform_radix2(MutSpan data) const {
+void FftPlan::forward_radix2(CMutSpan data) const {
   FF_CHECK(data.size() == n_);
   for (std::size_t i = 0; i < n_; ++i)
     if (i < bitrev_[i]) std::swap(data[i], data[bitrev_[i]]);
 
-  const Sample* tw = kInvert ? inv_twiddle_.data() : twiddle_.data();
   for (std::size_t len = 2; len <= n_; len <<= 1) {
     const std::size_t half = len / 2;
     const std::size_t stride = n_ / len;
     for (std::size_t start = 0; start < n_; start += len) {
       for (std::size_t k = 0; k < half; ++k) {
-        const Sample u = data[start + k];
-        const Sample v = data[start + k + half] * tw[k * stride];
+        const Complex u = data[start + k];
+        const Complex v = data[start + k + half] * twiddle_[k * stride];
         data[start + k] = u + v;
         data[start + k + half] = u - v;
       }
@@ -127,17 +115,16 @@ void BasicFftPlan<T>::transform_radix2(MutSpan data) const {
   }
 }
 
-template <typename T>
-void BasicFftPlan<T>::run_stages(const Sample* src, Sample* dst, Sample* scratch,
-                                 bool invert) const {
+void FftPlan::run_stages(const Complex* src, Complex* dst, Complex* scratch,
+                         bool invert) const {
   // Stage s writes dst when s has the same parity as the last stage, else
   // scratch — so the final stage always lands in dst with no trailing copy.
   const std::size_t last_parity = (stages_.size() - 1) % 2;
-  const Sample* tw_base = invert ? stage_tw_inv_.data() : stage_tw_.data();
+  const Complex* tw_base = invert ? stage_tw_inv_.data() : stage_tw_.data();
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     const Stage& st = stages_[s];
-    Sample* out = (s % 2 == last_parity) ? dst : scratch;
-    const Sample* tw = tw_base + st.tw_offset;
+    Complex* out = (s % 2 == last_parity) ? dst : scratch;
+    const Complex* tw = tw_base + st.tw_offset;
     if (st.radix == 4)
       kernels::radix4_stage(src, out, tw, st.butterflies, st.m, invert);
     else
@@ -146,70 +133,44 @@ void BasicFftPlan<T>::run_stages(const Sample* src, Sample* dst, Sample* scratch
   }
 }
 
-template <typename T>
-void BasicFftPlan<T>::transform_stockham(MutSpan data, bool invert) const {
+void FftPlan::transform_stockham(CMutSpan data, bool invert) const {
   FF_CHECK(data.size() == n_);
-  Sample* scratch = tl_scratch<T>(n_);
+  Complex* scratch = tl_scratch(n_);
   if (stages_.size() % 2 == 1) {
     // Odd stage count: stage 0 would write `data` while reading it. Run
     // from a copy instead (the copy moves no arithmetic — bits unchanged).
-    Sample* staging = scratch + n_;
-    std::memcpy(staging, data.data(), n_ * sizeof(Sample));
+    Complex* staging = scratch + n_;
+    std::memcpy(staging, data.data(), n_ * sizeof(Complex));
     run_stages(staging, data.data(), scratch, invert);
   } else {
     run_stages(data.data(), data.data(), scratch, invert);
   }
 }
 
-template <typename T>
-void BasicFftPlan<T>::forward(MutSpan data) const {
-  transform_stockham(data, false);
-}
+void FftPlan::forward(CMutSpan data) const { transform_stockham(data, false); }
 
-template <typename T>
-void BasicFftPlan<T>::inverse(MutSpan data) const {
+void FftPlan::inverse(CMutSpan data) const {
   transform_stockham(data, true);
-  kernels::scale_real(T{1} / static_cast<T>(n_), data, data);
+  kernels::scale_real(1.0 / static_cast<double>(n_), data, data);
 }
 
-template <typename T>
-void BasicFftPlan<T>::execute_many(Span in, MutSpan out, std::size_t count,
-                                   bool invert) const {
+void FftPlan::execute_many(CSpan in, CMutSpan out, std::size_t count, bool invert) const {
   FF_CHECK_MSG(in.size() == count * n_ && out.size() == count * n_,
                "execute_many: spans must hold count*n samples");
-  const bool in_place = in.data() == out.data();
-  Sample* scratch = tl_scratch<T>(n_);
-  const T inv_scale = T{1} / static_cast<T>(n_);
+  // Compared as integers: a raw `<` between unrelated pointers is unspecified.
+  const auto in_begin = reinterpret_cast<std::uintptr_t>(in.data());
+  const auto out_begin = reinterpret_cast<std::uintptr_t>(out.data());
+  const std::uintptr_t bytes = count * n_ * sizeof(Complex);
+  FF_CHECK_MSG(in_begin + bytes <= out_begin || out_begin + bytes <= in_begin,
+               "execute_many: in and out must not overlap");
+  Complex* scratch = tl_scratch(n_);
+  const double inv_scale = 1.0 / static_cast<double>(n_);
   for (std::size_t t = 0; t < count; ++t) {
-    const Sample* src = in.data() + t * n_;
-    MutSpan dst{out.data() + t * n_, n_};
-    if (in_place) {
-      transform_stockham(dst, invert);
-    } else {
-      run_stages(src, dst.data(), scratch, invert);
-    }
+    const CMutSpan dst{out.data() + t * n_, n_};
+    run_stages(in.data() + t * n_, dst.data(), scratch, invert);
     if (invert) kernels::scale_real(inv_scale, dst, dst);
   }
 }
-
-template <typename T>
-void BasicFftPlan<T>::forward_radix2(MutSpan data) const
-  requires std::same_as<T, double>
-{
-  transform_radix2<false>(data);
-}
-
-template <typename T>
-void BasicFftPlan<T>::inverse_radix2(MutSpan data) const
-  requires std::same_as<T, double>
-{
-  transform_radix2<true>(data);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (auto& x : data) x *= scale;
-}
-
-template class BasicFftPlan<double>;
-template class BasicFftPlan<float>;
 
 CVec fft(CSpan x) {
   FF_CHECK_MSG(!x.empty(), "fft: input must be non-empty");

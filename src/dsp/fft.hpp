@@ -1,7 +1,6 @@
-// FFT plans: Stockham autosort mixed-radix (radix-4 with one radix-2
-// stage when log2(n) is odd) as the production transform at double and
-// float precision, plus the original iterative radix-2 kept as a
-// double-precision reference implementation.
+// FFT plan: Stockham autosort mixed-radix (radix-4 with one radix-2 stage
+// when log2(n) is odd) as the production transform, plus the original
+// iterative radix-2 forward transform kept as a reference implementation.
 //
 // The OFDM PHY performs thousands of 64-point transforms per packet and the
 // evaluation harness runs tens of thousands of packets, so the plan caches
@@ -19,7 +18,6 @@
 // scalar/SIMD bitwise contract).
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <vector>
 
@@ -28,53 +26,38 @@
 
 namespace ff::dsp {
 
-/// FFT execution plan for a fixed power-of-two size on complex<T> samples,
-/// T = double (FftPlan) or float (FftPlan32). Immutable once built, so a
-/// single plan may be shared freely across threads (per-thread scratch
+/// FFT execution plan for a fixed power-of-two size. Immutable once built,
+/// so a single plan may be shared freely across threads (per-thread scratch
 /// lives in thread_local storage, not in the plan).
-///
-/// Both lane types run the same mixed-radix Stockham schedule on the
-/// kernel family of their width (4 complex lanes per AVX2 register at
-/// float, 2 at double). Twiddles are computed in double and rounded once to
-/// T, so the tables are a pure function of n on every platform — f32
-/// transform output depends on the input alone, never on libm's float
-/// variants (docs/PERFORMANCE.md, "The float32 family").
-template <typename T>
-class BasicFftPlan {
+class FftPlan {
  public:
-  using Sample = std::complex<T>;
-  using Span = std::span<const Sample>;
-  using MutSpan = std::span<Sample>;
-
   /// `n` must be a power of two >= 2.
-  explicit BasicFftPlan(std::size_t n);
+  explicit FftPlan(std::size_t n);
 
   /// Shared process-wide plan for size `n`, built on first use. Plans are
   /// immutable and never evicted, so the returned reference stays valid for
   /// the lifetime of the process and is safe to use concurrently — this is
-  /// what the parallel evaluation engine's workers hit. One cache per T.
-  static const BasicFftPlan& cached(std::size_t n);
+  /// what the parallel evaluation engine's workers hit.
+  static const FftPlan& cached(std::size_t n);
 
   std::size_t size() const { return n_; }
 
   /// In-place forward DFT: X[k] = sum_n x[n] e^{-j 2pi k n / N}.
-  void forward(MutSpan data) const;
+  void forward(CMutSpan data) const;
 
   /// In-place inverse DFT including the 1/N normalization.
-  void inverse(MutSpan data) const;
+  void inverse(CMutSpan data) const;
 
-  /// Batched transform of `count` contiguous length-n blocks: in-place when
-  /// `in.data() == out.data()`, otherwise fully out-of-place (spans must not
-  /// partially overlap). This is the entry point for burst OFDM
-  /// (de)modulation — one call per burst instead of one per symbol.
-  void execute_many(Span in, MutSpan out, std::size_t count, bool invert = false) const;
+  /// Batched out-of-place transform of `count` contiguous length-n blocks;
+  /// `in` and `out` must not overlap (FF_CHECK). This is the entry point
+  /// for burst OFDM modulation — one call per burst instead of one per
+  /// symbol — and each block is bit-identical to forward()/inverse() on it.
+  void execute_many(CSpan in, CMutSpan out, std::size_t count, bool invert = false) const;
 
-  /// Reference transforms, double only: the original iterative radix-2
+  /// Reference forward transform: the original iterative radix-2
   /// implementation (bit-reversal permutation + in-place butterflies). Kept
-  /// for ulp-bound tests and as the baseline row in bench_micro_kernels; the
-  /// float plan's accuracy reference is the double plan.
-  void forward_radix2(MutSpan data) const requires std::same_as<T, double>;
-  void inverse_radix2(MutSpan data) const requires std::same_as<T, double>;
+  /// for the ulp-bound test and as the baseline row in bench_micro_kernels.
+  void forward_radix2(CMutSpan data) const;
 
  private:
   // One Stockham pass: `butterflies` butterflies of width `radix` over
@@ -86,23 +69,16 @@ class BasicFftPlan {
     std::size_t tw_offset;
   };
 
-  template <bool kInvert>
-  void transform_radix2(MutSpan data) const;
-
-  void run_stages(const Sample* src, Sample* dst, Sample* scratch, bool invert) const;
-  void transform_stockham(MutSpan data, bool invert) const;
+  void run_stages(const Complex* src, Complex* dst, Complex* scratch, bool invert) const;
+  void transform_stockham(CMutSpan data, bool invert) const;
 
   std::size_t n_;
-  std::vector<std::size_t> bitrev_;             // radix-2 reference only
-  kernels::AlignedVec<Sample> twiddle_;         // radix-2 forward twiddles
-  kernels::AlignedVec<Sample> inv_twiddle_;     // conjugate table
-  std::vector<Stage> stages_;                   // mixed-radix schedule
-  kernels::AlignedVec<Sample> stage_tw_;        // per-stage twiddles, forward
-  kernels::AlignedVec<Sample> stage_tw_inv_;    // conjugate table
+  std::vector<std::size_t> bitrev_;      // radix-2 reference only
+  kernels::AlignedCVec twiddle_;         // radix-2 reference twiddles
+  std::vector<Stage> stages_;            // mixed-radix schedule
+  kernels::AlignedCVec stage_tw_;        // per-stage twiddles, forward
+  kernels::AlignedCVec stage_tw_inv_;    // conjugate table
 };
-
-using FftPlan = BasicFftPlan<double>;
-using FftPlan32 = BasicFftPlan<float>;
 
 /// One-shot convenience transforms (shared cached plan).
 CVec fft(CSpan x);

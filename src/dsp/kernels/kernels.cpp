@@ -38,14 +38,6 @@ void Scalar<T>::cmul(const C* a, const C* b, C* out, std::size_t n) {
 }
 
 template <typename T>
-void Scalar<T>::cmac(const C* a, const C* b, C* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const C p = cmul_one(a[i], b[i]);
-    acc[i] = {acc[i].real() + p.real(), acc[i].imag() + p.imag()};
-  }
-}
-
-template <typename T>
 void Scalar<T>::axpy(C alpha, const C* x, C* y, std::size_t n) {
   const T ar = alpha.real(), ai = alpha.imag();
   for (std::size_t i = 0; i < n; ++i) {
@@ -90,19 +82,6 @@ T Scalar<T>::magsq_accum(const C* x, std::size_t n) {
     lanes[k % 4] += re * re + im * im;
   }
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-template <typename T>
-void Scalar<T>::split(const C* x, T* re, T* im, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    re[i] = x[i].real();
-    im[i] = x[i].imag();
-  }
-}
-
-template <typename T>
-void Scalar<T>::interleave(const T* re, const T* im, C* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = {re[i], im[i]};
 }
 
 template <typename T>
@@ -155,17 +134,11 @@ void Scalar<T>::radix4_stage(const C* src, C* dst, const C* tw, std::size_t quar
   }
 }
 
-template <typename T>
-const KernelOps<T> Scalar<T>::ops = {
-    &Scalar::cmul,        &Scalar::cmac,        &Scalar::axpy,
-    &Scalar::scale,       &Scalar::scale_real,  &Scalar::cdot_conj,
-    &Scalar::magsq_accum, &Scalar::split,       &Scalar::interleave,
-    &Scalar::radix2_stage, &Scalar::radix4_stage,
-};
-
-// The AVX2 TU links against these (it sees only the declarations).
+// The AVX2 TU links against these (it sees only the declarations): all of
+// Scalar<double>, and the two f32 cores its f32 bodies call for loop tails.
 template struct Scalar<double>;
-template struct Scalar<float>;
+template void Scalar<float>::cmul(const C*, const C*, C*, std::size_t);
+template void Scalar<float>::axpy(C, const C*, C*, std::size_t);
 
 }  // namespace detail
 
@@ -174,6 +147,15 @@ namespace {
 using detail::KernelOps;
 using detail::Scalar;
 
+constexpr KernelOps kScalarOps = {
+    .cmul = &Scalar<double>::cmul,
+    .axpy = &Scalar<double>::axpy,
+    .radix2_stage = &Scalar<double>::radix2_stage,
+    .radix4_stage = &Scalar<double>::radix4_stage,
+    .cmul32 = &Scalar<float>::cmul,
+    .axpy32 = &Scalar<float>::axpy,
+};
+
 Isa resolve_isa() {
 #if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
@@ -181,75 +163,41 @@ Isa resolve_isa() {
   return Isa::kScalar;
 }
 
-template <typename T>
-const KernelOps<T>& resolve_ops() {
+const KernelOps& resolve_ops() {
 #if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))
-  if (active_isa() == Isa::kAvx2) return detail::avx2_ops<T>();
+  if (active_isa() == Isa::kAvx2) return detail::avx2_ops();
 #endif
-  return Scalar<T>::ops;
+  return kScalarOps;
 }
 
-// The table the dispatched span API runs on, resolved once per lane type.
-template <typename T>
-const KernelOps<T>& ops() {
-  static const KernelOps<T>& table = resolve_ops<T>();
+// The table the dispatched ops run on, resolved once.
+const KernelOps& ops() {
+  static const KernelOps& table = resolve_ops();
   return table;
 }
 
-// One body per op behind every public overload: the dispatched functions
-// pass ops<T>(), the scalar:: wrappers pass Scalar<T>::ops.
 template <typename T>
 using Span = std::span<const std::complex<T>>;
 template <typename T>
 using MutSpan = std::span<std::complex<T>>;
 
+// The span checks shared by the public overloads, one per op shape. A
+// dispatched op passes its table slot; a scalar:: wrapper, or an op with
+// no AVX2 body, passes the scalar template.
 template <typename T>
-void cmul_on(const KernelOps<T>& k, Span<T> a, Span<T> b, MutSpan<T> out) {
+void pairwise(void (*f)(const std::complex<T>*, const std::complex<T>*, std::complex<T>*,
+                        std::size_t),
+              Span<T> a, Span<T> b, MutSpan<T> out) {
   FF_CHECK(a.size() == b.size() && a.size() == out.size());
-  k.cmul(a.data(), b.data(), out.data(), a.size());
+  f(a.data(), b.data(), out.data(), a.size());
 }
 
 template <typename T>
-void cmac_on(const KernelOps<T>& k, Span<T> a, Span<T> b, MutSpan<T> acc) {
-  FF_CHECK(a.size() == b.size() && a.size() == acc.size());
-  k.cmac(a.data(), b.data(), acc.data(), a.size());
-}
-
-template <typename T>
-void axpy_on(const KernelOps<T>& k, std::complex<T> alpha, Span<T> x, MutSpan<T> y) {
+void with_alpha(void (*f)(std::complex<T>, const std::complex<T>*, std::complex<T>*,
+                          std::size_t),
+                std::complex<T> alpha, Span<T> x, MutSpan<T> y) {
   FF_CHECK(x.size() == y.size());
-  k.axpy(alpha, x.data(), y.data(), x.size());
-}
-
-template <typename T>
-void scale_on(const KernelOps<T>& k, std::complex<T> alpha, Span<T> x, MutSpan<T> out) {
-  FF_CHECK(x.size() == out.size());
-  k.scale(alpha, x.data(), out.data(), x.size());
-}
-
-template <typename T>
-void scale_real_on(const KernelOps<T>& k, T alpha, Span<T> x, MutSpan<T> out) {
-  FF_CHECK(x.size() == out.size());
-  k.scale_real(alpha, x.data(), out.data(), x.size());
-}
-
-template <typename T>
-std::complex<T> cdot_conj_on(const KernelOps<T>& k, Span<T> a, Span<T> b) {
-  FF_CHECK(a.size() == b.size());
-  return k.cdot_conj(a.data(), b.data(), a.size());
-}
-
-template <typename T>
-void split_on(const KernelOps<T>& k, Span<T> x, std::span<T> re, std::span<T> im) {
-  FF_CHECK(x.size() == re.size() && x.size() == im.size());
-  k.split(x.data(), re.data(), im.data(), x.size());
-}
-
-template <typename T>
-void interleave_on(const KernelOps<T>& k, std::span<const T> re, std::span<const T> im,
-                   MutSpan<T> out) {
-  FF_CHECK(re.size() == im.size() && re.size() == out.size());
-  k.interleave(re.data(), im.data(), out.data(), out.size());
+  f(alpha, x.data(), y.data(), x.size());
 }
 
 }  // namespace
@@ -271,67 +219,44 @@ bool simd_compiled() {
 #endif
 }
 
-// ------------------------------------------------------- dispatched span API
+// ------------------------------------------------------------------ span API
 // rotate_phasor is cmul under its stage name (kernels.hpp).
 
-void cmul(CSpan a, CSpan b, CMutSpan out) { cmul_on(ops<double>(), a, b, out); }
-void cmac(CSpan a, CSpan b, CMutSpan acc) { cmac_on(ops<double>(), a, b, acc); }
-void axpy(Complex alpha, CSpan x, CMutSpan y) { axpy_on(ops<double>(), alpha, x, y); }
+void cmul(CSpan a, CSpan b, CMutSpan out) { pairwise(ops().cmul, a, b, out); }
+void axpy(Complex alpha, CSpan x, CMutSpan y) { with_alpha(ops().axpy, alpha, x, y); }
 void scale(Complex alpha, CSpan x, CMutSpan out) {
-  scale_on(ops<double>(), alpha, x, out);
+  with_alpha(&Scalar<double>::scale, alpha, x, out);
 }
 void scale_real(double alpha, CSpan x, CMutSpan out) {
-  scale_real_on(ops<double>(), alpha, x, out);
+  FF_CHECK(x.size() == out.size());
+  Scalar<double>::scale_real(alpha, x.data(), out.data(), x.size());
 }
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
-  cmul_on(ops<double>(), x, phasors, out);
+  pairwise(ops().cmul, x, phasors, out);
 }
-Complex cdot_conj(CSpan a, CSpan b) { return cdot_conj_on(ops<double>(), a, b); }
-double magsq_accum(CSpan x) { return ops<double>().magsq_accum(x.data(), x.size()); }
-void split(CSpan x, std::span<double> re, std::span<double> im) {
-  split_on(ops<double>(), x, re, im);
+Complex cdot_conj(CSpan a, CSpan b) {
+  FF_CHECK(a.size() == b.size());
+  return Scalar<double>::cdot_conj(a.data(), b.data(), a.size());
 }
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
-  interleave_on(ops<double>(), re, im, out);
-}
+double magsq_accum(CSpan x) { return Scalar<double>::magsq_accum(x.data(), x.size()); }
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw, std::size_t half,
                   std::size_t m) {
-  ops<double>().radix2_stage(src, dst, tw, half, m);
+  ops().radix2_stage(src, dst, tw, half, m);
 }
 void radix4_stage(const Complex* src, Complex* dst, const Complex* tw, std::size_t quarter,
                   std::size_t m, bool invert) {
-  ops<double>().radix4_stage(src, dst, tw, quarter, m, invert);
+  ops().radix4_stage(src, dst, tw, quarter, m, invert);
 }
 
-void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { cmul_on(ops<float>(), a, b, out); }
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) { cmac_on(ops<float>(), a, b, acc); }
+void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { pairwise(ops().cmul32, a, b, out); }
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
-  axpy_on(ops<float>(), alpha, x, y);
+  with_alpha(ops().axpy32, alpha, x, y);
 }
 void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  scale_on(ops<float>(), alpha, x, out);
-}
-void scale_real(float alpha, CSpan32 x, CMutSpan32 out) {
-  scale_real_on(ops<float>(), alpha, x, out);
+  with_alpha(&Scalar<float>::scale, alpha, x, out);
 }
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
-  cmul_on(ops<float>(), x, phasors, out);
-}
-Complex32 cdot_conj(CSpan32 a, CSpan32 b) { return cdot_conj_on(ops<float>(), a, b); }
-float magsq_accum(CSpan32 x) { return ops<float>().magsq_accum(x.data(), x.size()); }
-void split(CSpan32 x, std::span<float> re, std::span<float> im) {
-  split_on(ops<float>(), x, re, im);
-}
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out) {
-  interleave_on(ops<float>(), re, im, out);
-}
-void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t half, std::size_t m) {
-  ops<float>().radix2_stage(src, dst, tw, half, m);
-}
-void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t quarter, std::size_t m, bool invert) {
-  ops<float>().radix4_stage(src, dst, tw, quarter, m, invert);
+  pairwise(ops().cmul32, x, phasors, out);
 }
 
 // ------------------------------------------------ precision edge conversion
@@ -354,37 +279,16 @@ CVec32 narrowed(CSpan x) {
   return out;
 }
 
-CVec widened(CSpan32 x) {
-  CVec out(x.size());
-  widen(x, out);
-  return out;
-}
-
 // ------------------------------------------------------------ scalar wrappers
 
 namespace scalar {
 
-void cmul(CSpan a, CSpan b, CMutSpan out) { cmul_on(Scalar<double>::ops, a, b, out); }
-void cmac(CSpan a, CSpan b, CMutSpan acc) { cmac_on(Scalar<double>::ops, a, b, acc); }
+void cmul(CSpan a, CSpan b, CMutSpan out) { pairwise(&Scalar<double>::cmul, a, b, out); }
 void axpy(Complex alpha, CSpan x, CMutSpan y) {
-  axpy_on(Scalar<double>::ops, alpha, x, y);
-}
-void scale(Complex alpha, CSpan x, CMutSpan out) {
-  scale_on(Scalar<double>::ops, alpha, x, out);
-}
-void scale_real(double alpha, CSpan x, CMutSpan out) {
-  scale_real_on(Scalar<double>::ops, alpha, x, out);
+  with_alpha(&Scalar<double>::axpy, alpha, x, y);
 }
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
-  cmul_on(Scalar<double>::ops, x, phasors, out);
-}
-Complex cdot_conj(CSpan a, CSpan b) { return cdot_conj_on(Scalar<double>::ops, a, b); }
-double magsq_accum(CSpan x) { return Scalar<double>::magsq_accum(x.data(), x.size()); }
-void split(CSpan x, std::span<double> re, std::span<double> im) {
-  split_on(Scalar<double>::ops, x, re, im);
-}
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out) {
-  interleave_on(Scalar<double>::ops, re, im, out);
+  pairwise(&Scalar<double>::cmul, x, phasors, out);
 }
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw, std::size_t half,
                   std::size_t m) {
@@ -396,40 +300,13 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw, std::size
 }
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) {
-  cmul_on(Scalar<float>::ops, a, b, out);
-}
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc) {
-  cmac_on(Scalar<float>::ops, a, b, acc);
+  pairwise(&Scalar<float>::cmul, a, b, out);
 }
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
-  axpy_on(Scalar<float>::ops, alpha, x, y);
-}
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  scale_on(Scalar<float>::ops, alpha, x, out);
-}
-void scale_real(float alpha, CSpan32 x, CMutSpan32 out) {
-  scale_real_on(Scalar<float>::ops, alpha, x, out);
+  with_alpha(&Scalar<float>::axpy, alpha, x, y);
 }
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
-  cmul_on(Scalar<float>::ops, x, phasors, out);
-}
-Complex32 cdot_conj(CSpan32 a, CSpan32 b) {
-  return cdot_conj_on(Scalar<float>::ops, a, b);
-}
-float magsq_accum(CSpan32 x) { return Scalar<float>::magsq_accum(x.data(), x.size()); }
-void split(CSpan32 x, std::span<float> re, std::span<float> im) {
-  split_on(Scalar<float>::ops, x, re, im);
-}
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out) {
-  interleave_on(Scalar<float>::ops, re, im, out);
-}
-void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t half, std::size_t m) {
-  Scalar<float>::radix2_stage(src, dst, tw, half, m);
-}
-void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t quarter, std::size_t m, bool invert) {
-  Scalar<float>::radix4_stage(src, dst, tw, quarter, m, invert);
+  pairwise(&Scalar<float>::cmul, x, phasors, out);
 }
 
 }  // namespace scalar

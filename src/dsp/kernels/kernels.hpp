@@ -3,31 +3,30 @@
 //
 // Every IQ hot loop in the repository — FIR filtering, CFO rotation, FFT
 // butterflies, correlation sums, cancellation — bottoms out in a handful of
-// block primitives. This header is their single home: a scalar reference
-// implementation (namespace kernels::scalar, always compiled; one template
-// per op over the lane type, instantiated for double and float) plus an AVX2
-// path (compiled when the FF_SIMD CMake option is ON, selected at runtime via
-// __builtin_cpu_supports). The AVX2 path has bodies only for the ops the
-// relay's timed paths run — cmul/rotate_phasor and axpy at both widths, the
-// f64 radix2_stage/radix4_stage — and dispatches every other op to its
-// scalar template. Callers use the dispatched free functions; `active_isa()`
-// reports which path is live so benchmarks and telemetry can record it.
+// block primitives, and this header declares exactly the ones a program
+// runs. Each op is one scalar template over the lane type (the reference,
+// always compiled). Six also have an AVX2 body (compiled when the FF_SIMD
+// CMake option is ON, selected at runtime via __builtin_cpu_supports): f64
+// cmul/rotate_phasor, axpy, radix2_stage and radix4_stage, and f32
+// cmul/rotate_phasor and axpy. Only those six go through a dispatch table;
+// every other op calls its scalar template directly. `active_isa()` reports
+// which path is live so benchmarks and telemetry can record it.
 //
 // The bitwise contract — the reason this layer can sit under the streaming
 // runtime's determinism guarantees:
 //
-//   * Elementwise kernels (cmul, cmac, axpy, scale, rotate_phasor, split,
-//     interleave) perform IDENTICAL per-element arithmetic in every ISA:
-//     the textbook complex product re = ar*br - ai*bi, im = ar*bi + ai*br,
-//     no FMA contraction (the kernel TUs are built -ffp-contract=off), no
+//   * Elementwise kernels (cmul, axpy, scale, scale_real, rotate_phasor)
+//     perform IDENTICAL per-element arithmetic in every ISA: the textbook
+//     complex product re = ar*br - ai*bi, im = ar*bi + ai*br, no FMA
+//     contraction (the kernel TUs are built -ffp-contract=off), no
 //     re-association. Scalar and SIMD outputs are equal bit for bit, which
 //     tests/kernels_test.cpp asserts on aligned, unaligned and odd-tail
-//     spans.
+//     spans; for the ops without an AVX2 body it asserts the formula itself.
 //   * Reduction kernels (cdot_conj, magsq_accum) define their association
 //     explicitly: term k accumulates into partial sum k mod 4, and the
-//     result is (p0 + p1) + (p2 + p3). The scalar reference implements the
-//     same four-lane schedule, so SIMD and scalar reductions are also
-//     bitwise equal — a deterministic function of the input alone.
+//     result is (p0 + p1) + (p2 + p3). Receiver sync, PN detection and
+//     canceller training read that exact association, and
+//     tests/kernels_test.cpp pins it.
 //
 // Alignment: kernels accept any alignment (unaligned SIMD loads); 32-byte
 // aligned storage (Workspace, AlignedCVec) is preferred for throughput.
@@ -62,9 +61,6 @@ bool simd_compiled();
 /// out[i] = a[i] * b[i]. `out` may alias `a` or `b` exactly.
 void cmul(CSpan a, CSpan b, CMutSpan out);
 
-/// acc[i] += a[i] * b[i]. `acc` must not alias `a`/`b`.
-void cmac(CSpan a, CSpan b, CMutSpan acc);
-
 /// y[i] += alpha * x[i]. The FIR workhorse: a block convolution is one axpy
 /// per tap, which preserves the tap-ascending accumulation order of the
 /// sample-at-a-time reference (see FirFilter::process_into).
@@ -89,14 +85,6 @@ Complex cdot_conj(CSpan a, CSpan b);
 /// sum_k |x[k]|^2 (re^2 + im^2 per element, then four-lane accumulation).
 double magsq_accum(CSpan x);
 
-// -------------------------------------------------------- layout conversion
-
-/// Deinterleave IQ pairs into split re/im arrays (planar layout).
-void split(CSpan x, std::span<double> re, std::span<double> im);
-
-/// Interleave split re/im arrays back into IQ pairs.
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out);
-
 // ------------------------------------------------------------- FFT butterflies
 // Stage kernels for the Stockham mixed-radix FFT (dsp::FftPlan). `src` and
 // `dst` are distinct n-sample buffers; `tw` points at the stage's twiddle
@@ -111,29 +99,18 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert);
 
 // ------------------------------------------------------------ float32 family
-// Overloads on the CSpan32/CMutSpan32 types (common/types.hpp): the same
-// kernels with float lanes. cmul/rotate_phasor and axpy have AVX2 bodies at
-// double the f64 lane count; the other f32 ops, the FFT stages included, run
-// their scalar template. Same bitwise scalar==SIMD contract, same four-lane
-// reduction schedule — but the f32 family is its OWN checksum family: f32
+// Overloads on the CSpan32/CMutSpan32 types (common/types.hpp) for the ops
+// the f32 forward path runs. cmul/rotate_phasor and axpy have AVX2 bodies
+// at double the f64 lane count; scale runs its scalar template. Same
+// bitwise contract — but the f32 family is its OWN checksum family: f32
 // results are deterministic across ISAs/blocks/threads yet numerically
 // distinct from the double kernels (docs/PERFORMANCE.md, "The float32
 // family").
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
 void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out);
-void scale_real(float alpha, CSpan32 x, CMutSpan32 out);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
-Complex32 cdot_conj(CSpan32 a, CSpan32 b);
-float magsq_accum(CSpan32 x);
-void split(CSpan32 x, std::span<float> re, std::span<float> im);
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out);
-void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t half, std::size_t m);
-void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t quarter, std::size_t m, bool invert);
 
 // Precision edge conversion (scalar by design: one rounding per sample, the
 // only place a value changes width). narrow() rounds-to-nearest into f32;
@@ -142,43 +119,24 @@ void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
 void widen(CSpan32 x, CMutSpan out);
 void narrow(CSpan x, CMutSpan32 out);
 
-/// Allocating conveniences for configuration-time conversion (tap sets,
-/// twiddle constants). Hot paths use narrow()/widen() into workspace slots.
+/// Allocating narrow() for configuration-time conversion (tap sets). Hot
+/// paths use narrow() into workspace slots.
 CVec32 narrowed(CSpan x);
-CVec widened(CSpan32 x);
 
 // ------------------------------------------------------------ scalar reference
-// Always compiled; what the dispatched functions fall back to, and what
-// tests/bench compare the SIMD paths against.
+// The scalar templates of the ops that have an AVX2 body, always compiled:
+// what tests and bench rows compare the dispatched AVX2 path against.
 namespace scalar {
 void cmul(CSpan a, CSpan b, CMutSpan out);
-void cmac(CSpan a, CSpan b, CMutSpan acc);
 void axpy(Complex alpha, CSpan x, CMutSpan y);
-void scale(Complex alpha, CSpan x, CMutSpan out);
-void scale_real(double alpha, CSpan x, CMutSpan out);
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out);
-Complex cdot_conj(CSpan a, CSpan b);
-double magsq_accum(CSpan x);
-void split(CSpan x, std::span<double> re, std::span<double> im);
-void interleave(std::span<const double> re, std::span<const double> im, CMutSpan out);
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t half, std::size_t m);
 void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert);
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
-void cmac(CSpan32 a, CSpan32 b, CMutSpan32 acc);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out);
-void scale_real(float alpha, CSpan32 x, CMutSpan32 out);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
-Complex32 cdot_conj(CSpan32 a, CSpan32 b);
-float magsq_accum(CSpan32 x);
-void split(CSpan32 x, std::span<float> re, std::span<float> im);
-void interleave(std::span<const float> re, std::span<const float> im, CMutSpan32 out);
-void radix2_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t half, std::size_t m);
-void radix4_stage(const Complex32* src, Complex32* dst, const Complex32* tw,
-                  std::size_t quarter, std::size_t m, bool invert);
 }  // namespace scalar
 
 }  // namespace ff::dsp::kernels

@@ -2,10 +2,11 @@
 // per __m256. Compiled with -mavx2 (only this TU) when FF_SIMD=ON; selected
 // at runtime by __builtin_cpu_supports("avx2") in kernels.cpp.
 //
-// Six bodies, the ones the relay's timed paths run: f64 cmul (which
-// rotate_phasor is), axpy (every FIR tap), radix2_stage and radix4_stage
-// (the f64 FFT behind packet modulation), and f32 cmul and axpy. The other
-// table entries point at the scalar templates.
+// Six bodies, the ones the relay's timed paths run and the only six
+// dispatch slots: f64 cmul (which rotate_phasor is), axpy (every FIR tap),
+// radix2_stage and radix4_stage (the f64 FFT behind packet modulation), and
+// f32 cmul and axpy. Loop tails, and whole FFT stages a register cannot
+// fill, call the scalar templates.
 //
 // Bitwise contract (kernels.hpp): identical per-element formulas to the
 // scalar reference — same products, additions commuted at most (IEEE
@@ -179,32 +180,14 @@ void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t
 
 }  // namespace
 
-// Entries without an AVX2 body are the scalar templates themselves.
-
-template <>
-const KernelOps<double>& avx2_ops() {
-  using S = Scalar<double>;
-  static const KernelOps<double> ops = {
-      .cmul = &cmul_avx2,               .cmac = &S::cmac,
-      .axpy = &axpy_avx2,               .scale = &S::scale,
-      .scale_real = &S::scale_real,     .cdot_conj = &S::cdot_conj,
-      .magsq_accum = &S::magsq_accum,   .split = &S::split,
-      .interleave = &S::interleave,     .radix2_stage = &radix2_stage_avx2,
+const KernelOps& avx2_ops() {
+  static const KernelOps ops = {
+      .cmul = &cmul_avx2,
+      .axpy = &axpy_avx2,
+      .radix2_stage = &radix2_stage_avx2,
       .radix4_stage = &radix4_stage_avx2,
-  };
-  return ops;
-}
-
-template <>
-const KernelOps<float>& avx2_ops() {
-  using S = Scalar<float>;
-  static const KernelOps<float> ops = {
-      .cmul = &cmul_avx2_32,            .cmac = &S::cmac,
-      .axpy = &axpy_avx2_32,            .scale = &S::scale,
-      .scale_real = &S::scale_real,     .cdot_conj = &S::cdot_conj,
-      .magsq_accum = &S::magsq_accum,   .split = &S::split,
-      .interleave = &S::interleave,     .radix2_stage = &S::radix2_stage,
-      .radix4_stage = &S::radix4_stage,
+      .cmul32 = &cmul_avx2_32,
+      .axpy32 = &axpy_avx2_32,
   };
   return ops;
 }

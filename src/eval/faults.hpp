@@ -51,10 +51,6 @@ struct FaultConfig {
   /// under `fd.faults.*` (samples seen/dropped/corrupted/poisoned, sounding
   /// rounds seen/failed, estimates perturbed). Default nullptr.
   MetricsRegistry* metrics = nullptr;
-
-  bool any_sample_faults() const {
-    return sample_drop_rate > 0.0 || sample_corrupt_rate > 0.0 || sample_nan_rate > 0.0;
-  }
 };
 
 /// Applies the configured faults with exact deterministic rates. Stateful
@@ -90,8 +86,6 @@ class FaultInjector {
   std::uint64_t samples_dropped() const { return drop_.fired; }
   std::uint64_t samples_corrupted() const { return corrupt_.fired; }
   std::uint64_t samples_poisoned() const { return nan_.fired; }
-  std::uint64_t soundings_seen() const { return sounding_.seen; }
-  std::uint64_t soundings_failed() const { return sounding_.fired; }
 
  private:
   /// Exact-rate schedule: fires on opportunity k (1-based) iff

@@ -48,11 +48,6 @@ CVec estimate_si_fir_probe_iterative(CSpan probe, CSpan tx, CSpan rx, std::size_
                                      int iterations = 12,
                                      MetricsRegistry* metrics = nullptr);
 
-/// The biased NAIVE estimator for comparison: frequency-domain division of
-/// rx by the full transmitted stream (what prior-work tuning would do).
-/// Returns an FIR fit of rx against tx with the same tap count.
-CVec estimate_si_fir_naive(CSpan tx, CSpan rx, std::size_t taps);
-
 /// Evaluate a sample-spaced FIR (on the kSiAlignSamples grid) at baseband
 /// frequencies, de-rotated so it is directly comparable with
 /// MultipathChannel::response on the same grid.

@@ -23,12 +23,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::col_vector(CSpan v) {
-  Matrix m(v.size(), 1);
-  for (std::size_t i = 0; i < v.size(); ++i) m(i, 0) = v[i];
-  return m;
-}
-
 Matrix Matrix::diagonal(CSpan d) {
   Matrix m(d.size(), d.size());
   for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];

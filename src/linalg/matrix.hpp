@@ -24,8 +24,6 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
   static Matrix zeros(std::size_t rows, std::size_t cols) { return {rows, cols}; }
-  /// Column vector from a span.
-  static Matrix col_vector(CSpan v);
   /// Diagonal matrix from a span.
   static Matrix diagonal(CSpan d);
 

@@ -47,10 +47,6 @@ class Transmitter {
   /// sequence (max 4095 bits).
   CVec modulate(std::span<const std::uint8_t> payload, const TxOptions& opts = {}) const;
 
-  /// Number of DATA symbols a payload needs at the given MCS (payload + CRC
-  /// + tail, after puncturing, rounded up to whole symbols).
-  std::size_t data_symbols(std::size_t payload_bits, int mcs_index) const;
-
  private:
   OfdmParams params_;
   OfdmModem modem_;

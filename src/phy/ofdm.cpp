@@ -93,26 +93,4 @@ CVec OfdmModem::modulate_burst(CSpan values) const {
   return out;
 }
 
-std::vector<CVec> OfdmModem::demodulate_burst(CSpan samples, std::size_t n_symbols) const {
-  FF_CHECK(samples.size() >= n_symbols * params_.symbol_len());
-  std::vector<CVec> out;
-  out.reserve(n_symbols);
-  if (n_symbols == 0) return out;
-  const std::size_t nfft = params_.fft_size;
-  // Gather the CP-stripped windows contiguously, one batched forward
-  // transform, then per-symbol bin extraction.
-  thread_local dsp::kernels::Workspace ws;
-  CMutSpan windows = ws.get(0, n_symbols * nfft);
-  for (std::size_t s = 0; s < n_symbols; ++s) {
-    const CSpan sym = samples.subspan(s * params_.symbol_len(), params_.symbol_len());
-    std::copy(sym.begin() + static_cast<std::ptrdiff_t>(params_.cp_len), sym.end(),
-              windows.begin() + static_cast<std::ptrdiff_t>(s * nfft));
-  }
-  CMutSpan spectra = ws.get(1, n_symbols * nfft);
-  plan_.execute_many(windows, spectra, n_symbols);
-  for (std::size_t s = 0; s < n_symbols; ++s)
-    out.push_back(extract_used(CSpan{spectra.data() + s * nfft, nfft}, 0));
-  return out;
-}
-
 }  // namespace ff::phy

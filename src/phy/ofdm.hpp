@@ -33,13 +33,8 @@ class OfdmModem {
   /// transform is bit-identical to the per-symbol path).
   CVec modulate_burst(CSpan values) const;
 
-  /// Split a burst into symbols and demodulate each. Batched like
-  /// modulate_burst; per-symbol results match demodulate_symbol bit for bit.
-  std::vector<CVec> demodulate_burst(CSpan samples, std::size_t n_symbols) const;
-
  private:
-  /// Pull the used-subcarrier values out of one FFT output (shared by the
-  /// single-symbol and burst demodulators).
+  /// Pull the used-subcarrier values out of one FFT output.
   CVec extract_used(CSpan freq, std::size_t cp_advance) const;
 
   OfdmParams params_;

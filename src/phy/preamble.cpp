@@ -120,10 +120,6 @@ CVec preamble_time(const OfdmParams& params) {
   return out;
 }
 
-std::size_t preamble_len(const OfdmParams& params) {
-  return 10 * (params.fft_size / 4) + 2 * params.cp_len + 2 * params.fft_size;
-}
-
 double estimate_cfo_stf(CSpan rx, const OfdmParams& params) {
   const std::size_t word = params.fft_size / 4;        // 16 samples
   const std::size_t stf_len = 10 * word;

@@ -32,9 +32,6 @@ CVec ltf_time(const OfdmParams& params);
 /// Complete preamble: STF followed by LTF.
 CVec preamble_time(const OfdmParams& params);
 
-/// Total preamble length in samples.
-std::size_t preamble_len(const OfdmParams& params);
-
 /// Coarse CFO estimate from STF periodicity: the phase drift across one
 /// 16-sample period. Averages over the whole STF span in `rx`.
 /// `rx` must contain the STF starting at index 0.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/telemetry.hpp"
@@ -38,16 +39,8 @@ ForwardPipeline::ForwardPipeline(PipelineConfig cfg)
   FF_CHECK_MSG(std::isfinite(cfg_.analog_rotation.real()) &&
                    std::isfinite(cfg_.analog_rotation.imag()),
                "PipelineConfig.analog_rotation must be finite");
-  if (cfg_.metrics) {
-    metrics::add(cfg_.metrics, "relay.pipeline.instances");
-    metrics::observe(cfg_.metrics, "relay.pipeline.max_delay_s", max_delay_s());
-    metrics::set(cfg_.metrics, "relay.pipeline.prefilter_taps",
-                 static_cast<double>(cfg_.prefilter.size()));
-    // Which arithmetic width the forward path runs at (64 or 32) — like
-    // ff.kernels.isa, the tag that lets a snapshot explain a perf delta.
-    metrics::set(cfg_.metrics, "ff.kernels.precision",
-                 cfg_.precision == Precision::kF32 ? 32.0 : 64.0);
-  }
+  // A registry given at construction records what attaching it later would.
+  set_metrics(std::exchange(cfg_.metrics, nullptr));
 }
 
 void ForwardPipeline::set_metrics(MetricsRegistry* metrics) {
@@ -58,6 +51,8 @@ void ForwardPipeline::set_metrics(MetricsRegistry* metrics) {
     metrics::observe(cfg_.metrics, "relay.pipeline.max_delay_s", max_delay_s());
     metrics::set(cfg_.metrics, "relay.pipeline.prefilter_taps",
                  static_cast<double>(cfg_.prefilter.size()));
+    // Which arithmetic width the forward path runs at (64 or 32) — like
+    // ff.kernels.isa, the tag that lets a snapshot explain a perf delta.
     metrics::set(cfg_.metrics, "ff.kernels.precision",
                  cfg_.precision == Precision::kF32 ? 32.0 : 64.0);
   }

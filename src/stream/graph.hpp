@@ -54,9 +54,6 @@ class Graph {
   void validate();
   bool validated() const { return validated_; }
 
-  std::size_t n_elements() const { return elements_.size(); }
-  std::size_t n_channels() const { return channels_.size(); }
-
   /// Look up an element by instance name (nullptr when absent).
   Element* find(const std::string& name) const;
   /// Look up an element by instance name (FF_CHECK: present, naming the

@@ -373,13 +373,6 @@ bool ElementRegistry::has(const std::string& class_name) const {
   return factories_.count(class_name) != 0;
 }
 
-std::vector<std::string> ElementRegistry::class_names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
 std::unique_ptr<Element> ElementRegistry::make(const std::string& class_name,
                                                std::string name, Params params) const {
   const auto it = factories_.find(class_name);
