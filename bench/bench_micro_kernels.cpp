@@ -174,28 +174,33 @@ void BM_FirProcessIntoBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_FirProcessIntoBlock);
 
-// The raw dense-FIR cores, f64 vs f32, on the canceller's 120-tap shape: one
-// 256-sample block over a pre-staged extended input, no delay-line
-// bookkeeping — pure kernels::axpy throughput in each precision.
+// The raw dense-FIR cores, f64 vs f32: one block over a pre-staged extended
+// input, no delay-line bookkeeping — kernels::fir throughput in each
+// precision. Arguments are (taps, block): the canceller's 120 taps over
+// 256 samples, and chan_sr's 49 taps over a 4096-sample block, whose 64 KB
+// f64 output would not stay in L1 if it were swept once per tap.
 
 void BM_FirCoreF64(benchmark::State& state) {
   Rng rng(9);
-  const std::size_t taps = 120, n = 256;
+  const auto taps = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
   dsp::kernels::AlignedCVec h(taps), ext(taps - 1 + n), y(n);
   for (auto& v : h) v = rng.cgaussian(1e-3);
   for (auto& v : ext) v = rng.cgaussian();
   for (auto _ : state) {
     dsp::fir_core(h, ext.data(), y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FirCoreF64);
+BENCHMARK(BM_FirCoreF64)->Args({120, 256})->Args({49, 4096});
 
 void BM_FirCoreF32(benchmark::State& state) {
   Rng rng(9);
-  const std::size_t taps = 120, n = 256;
+  const auto taps = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
   dsp::kernels::AlignedCVec hw(taps), extw(taps - 1 + n);
   for (auto& v : hw) v = rng.cgaussian(1e-3);
   for (auto& v : extw) v = rng.cgaussian();
@@ -205,11 +210,12 @@ void BM_FirCoreF32(benchmark::State& state) {
   for (auto _ : state) {
     dsp::fir_core(h, ext.data(), y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FirCoreF32);
+BENCHMARK(BM_FirCoreF32)->Args({120, 256})->Args({49, 4096});
 
 void BM_PipelineProcessBlock(benchmark::State& state) {
   relay::PipelineConfig cfg;

@@ -43,10 +43,10 @@ class BasicFirFilter {
   /// is written. This is the allocation-free path the streaming hot loop
   /// uses to reuse one buffer per block.
   ///
-  /// Implementation: one vectorized kernels::axpy per tap over the extended
-  /// buffer, taps ascending — the exact accumulation order of push(), so a
-  /// block-filtered stream is bit-identical to a sample-at-a-time one at any
-  /// block size.
+  /// Implementation: one kernels::fir call over the extended buffer, each
+  /// output summed from +0 with taps ascending — the exact accumulation
+  /// order of push(), so a block-filtered stream is bit-identical to a
+  /// sample-at-a-time one at any block size.
   void process_into(Span x, MutSpan out);
 
   /// Same, with scratch drawn from a caller-owned Workspace (slot 0 of lane
@@ -98,9 +98,11 @@ void filter_into(CSpan h, CSpan x, CMutSpan y, kernels::Workspace& ws);
 /// where `ext` holds (h.size()-1) leading context samples followed by (at
 /// least) y.size() block samples. Callers choose what the context is — real
 /// filter history, zeros, or future samples for an anti-causal filter. One
-/// kernels::axpy per tap, taps ascending, so every caller inherits the same
-/// accumulation order (and therefore bit-identical results for identical
-/// `ext` contents). The lane type T (double or float) is deduced from `ext`.
+/// kernels::fir call (each output from +0, taps ascending), so every caller
+/// inherits the same accumulation order (and therefore bit-identical results
+/// for identical `ext` contents). `y` must not overlap `ext`, and `h` must
+/// not be empty; either fails an FF_CHECK. The lane type T (double or float)
+/// is deduced from `ext`.
 template <typename T>
 void fir_core(std::type_identity_t<std::span<const std::complex<T>>> h,
               const std::complex<T>* ext,

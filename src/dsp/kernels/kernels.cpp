@@ -1,5 +1,7 @@
 #include "dsp/kernels/kernels.hpp"
 
+#include <cstdint>
+
 #include "common/check.hpp"
 #include "dsp/kernels/kernels_detail.hpp"
 
@@ -43,6 +45,24 @@ void Scalar<T>::axpy(C alpha, const C* x, C* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const T xr = x[i].real(), xi = x[i].imag();
     y[i] = {y[i].real() + (xr * ar - xi * ai), y[i].imag() + (xr * ai + xi * ar)};
+  }
+}
+
+// Each output starts at +0 and adds axpy's product one tap at a time, taps
+// ascending: the sum a per-tap axpy sweep over a zeroed y would build.
+template <typename T>
+void Scalar<T>::fir(const C* h, std::size_t taps, const C* ext, C* y, std::size_t n,
+                    std::size_t stride) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t newest = (taps - 1) + i * stride;
+    T re = 0, im = 0;
+    for (std::size_t k = 0; k < taps; ++k) {
+      const T hr = h[k].real(), hi = h[k].imag();
+      const T xr = ext[newest - k].real(), xi = ext[newest - k].imag();
+      re = re + (xr * hr - xi * hi);
+      im = im + (xr * hi + xi * hr);
+    }
+    y[i] = {re, im};
   }
 }
 
@@ -138,7 +158,8 @@ void Scalar<T>::radix4_stage(const C* src, C* dst, const C* tw, std::size_t quar
 // Scalar<double>, and the two f32 cores its f32 bodies call for loop tails.
 template struct Scalar<double>;
 template void Scalar<float>::cmul(const C*, const C*, C*, std::size_t);
-template void Scalar<float>::axpy(C, const C*, C*, std::size_t);
+template void Scalar<float>::fir(const C*, std::size_t, const C*, C*, std::size_t,
+                                 std::size_t);
 
 }  // namespace detail
 
@@ -147,13 +168,19 @@ namespace {
 using detail::KernelOps;
 using detail::Scalar;
 
+// The f32 fir slot has no stride: every f32 FIR filters at stride 1.
+void scalar_fir32(const Complex32* h, std::size_t taps, const Complex32* ext, Complex32* y,
+                  std::size_t n) {
+  Scalar<float>::fir(h, taps, ext, y, n, 1);
+}
+
 constexpr KernelOps kScalarOps = {
     .cmul = &Scalar<double>::cmul,
-    .axpy = &Scalar<double>::axpy,
+    .fir = &Scalar<double>::fir,
     .radix2_stage = &Scalar<double>::radix2_stage,
     .radix4_stage = &Scalar<double>::radix4_stage,
     .cmul32 = &Scalar<float>::cmul,
-    .axpy32 = &Scalar<float>::axpy,
+    .fir32 = &scalar_fir32,
 };
 
 Isa resolve_isa() {
@@ -200,6 +227,22 @@ void with_alpha(void (*f)(std::complex<T>, const std::complex<T>*, std::complex<
   f(alpha, x.data(), y.data(), x.size());
 }
 
+// fir's checks: at least one tap, a positive stride, and no overlap between
+// y and the ext samples it reads, ext[0 .. (taps - 1) + (n - 1) * stride].
+template <typename T>
+void check_fir(Span<T> h, const std::complex<T>* ext, MutSpan<T> y, std::size_t stride) {
+  FF_CHECK_MSG(!h.empty(), "fir needs at least one tap");
+  FF_CHECK_MSG(stride >= 1, "fir needs stride >= 1");
+  if (y.empty()) return;
+  const std::size_t read = h.size() + (y.size() - 1) * stride;
+  // Compared as integers: a raw `<` between unrelated pointers is unspecified.
+  const auto ext_begin = reinterpret_cast<std::uintptr_t>(ext);
+  const auto y_begin = reinterpret_cast<std::uintptr_t>(y.data());
+  FF_CHECK_MSG(ext_begin + read * sizeof(std::complex<T>) <= y_begin ||
+                   y_begin + y.size() * sizeof(std::complex<T>) <= ext_begin,
+               "fir: y must not overlap the ext samples it reads");
+}
+
 }  // namespace
 
 Isa active_isa() {
@@ -223,7 +266,13 @@ bool simd_compiled() {
 // rotate_phasor is cmul under its stage name (kernels.hpp).
 
 void cmul(CSpan a, CSpan b, CMutSpan out) { pairwise(ops().cmul, a, b, out); }
-void axpy(Complex alpha, CSpan x, CMutSpan y) { with_alpha(ops().axpy, alpha, x, y); }
+void axpy(Complex alpha, CSpan x, CMutSpan y) {
+  with_alpha(&Scalar<double>::axpy, alpha, x, y);
+}
+void fir(CSpan h, const Complex* ext, CMutSpan y, std::size_t stride) {
+  check_fir(h, ext, y, stride);
+  ops().fir(h.data(), h.size(), ext, y.data(), y.size(), stride);
+}
 void scale(Complex alpha, CSpan x, CMutSpan out) {
   with_alpha(&Scalar<double>::scale, alpha, x, out);
 }
@@ -250,7 +299,11 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw, std::size
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) { pairwise(ops().cmul32, a, b, out); }
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
-  with_alpha(ops().axpy32, alpha, x, y);
+  with_alpha(&Scalar<float>::axpy, alpha, x, y);
+}
+void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y) {
+  check_fir(h, ext, y, 1);
+  ops().fir32(h.data(), h.size(), ext, y.data(), y.size());
 }
 void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
   with_alpha(&Scalar<float>::scale, alpha, x, out);
@@ -284,8 +337,9 @@ CVec32 narrowed(CSpan x) {
 namespace scalar {
 
 void cmul(CSpan a, CSpan b, CMutSpan out) { pairwise(&Scalar<double>::cmul, a, b, out); }
-void axpy(Complex alpha, CSpan x, CMutSpan y) {
-  with_alpha(&Scalar<double>::axpy, alpha, x, y);
+void fir(CSpan h, const Complex* ext, CMutSpan y, std::size_t stride) {
+  check_fir(h, ext, y, stride);
+  Scalar<double>::fir(h.data(), h.size(), ext, y.data(), y.size(), stride);
 }
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out) {
   pairwise(&Scalar<double>::cmul, x, phasors, out);
@@ -302,8 +356,9 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw, std::size
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out) {
   pairwise(&Scalar<float>::cmul, a, b, out);
 }
-void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
-  with_alpha(&Scalar<float>::axpy, alpha, x, y);
+void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y) {
+  check_fir(h, ext, y, 1);
+  Scalar<float>::fir(h.data(), h.size(), ext, y.data(), y.size(), 1);
 }
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
   pairwise(&Scalar<float>::cmul, x, phasors, out);

@@ -7,8 +7,8 @@
 // runs. Each op is one scalar template over the lane type (the reference,
 // always compiled). Six also have an AVX2 body (compiled when the FF_SIMD
 // CMake option is ON, selected at runtime via __builtin_cpu_supports): f64
-// cmul/rotate_phasor, axpy, radix2_stage and radix4_stage, and f32
-// cmul/rotate_phasor and axpy. Only those six go through a dispatch table;
+// cmul/rotate_phasor, fir, radix2_stage and radix4_stage, and f32
+// cmul/rotate_phasor and fir. Only those six go through a dispatch table;
 // every other op calls its scalar template directly. `active_isa()` reports
 // which path is live so benchmarks and telemetry can record it.
 //
@@ -22,6 +22,9 @@
 //     re-association. Scalar and SIMD outputs are equal bit for bit, which
 //     tests/kernels_test.cpp asserts on aligned, unaligned and odd-tail
 //     spans; for the ops without an AVX2 body it asserts the formula itself.
+//   * fir is axpy's arithmetic in axpy's order: each output starts at +0
+//     and adds axpy's product one tap at a time, taps ascending, so it
+//     equals a per-tap axpy sweep over a zeroed output bit for bit.
 //   * Reduction kernels (cdot_conj, magsq_accum) define their association
 //     explicitly: term k accumulates into partial sum k mod 4, and the
 //     result is (p0 + p1) + (p2 + p3). Receiver sync, PN detection and
@@ -31,7 +34,8 @@
 // Alignment: kernels accept any alignment (unaligned SIMD loads); 32-byte
 // aligned storage (Workspace, AlignedCVec) is preferred for throughput.
 // In-place operation is supported when an output span IS an input span
-// (same pointer); partially overlapping spans are not.
+// (same pointer); partially overlapping spans are not. fir's output must
+// not overlap its input at all.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +65,8 @@ bool simd_compiled();
 /// out[i] = a[i] * b[i]. `out` may alias `a` or `b` exactly.
 void cmul(CSpan a, CSpan b, CMutSpan out);
 
-/// y[i] += alpha * x[i]. The FIR workhorse: a block convolution is one axpy
-/// per tap, which preserves the tap-ascending accumulation order of the
-/// sample-at-a-time reference (see FirFilter::process_into).
+/// y[i] += alpha * x[i]. Scalar template only: dsp::convolve's scatter
+/// loop is its one caller in src/, and every FIR runs fir below.
 void axpy(Complex alpha, CSpan x, CMutSpan y);
 
 /// out[i] = alpha * x[i]. In-place allowed.
@@ -76,6 +79,17 @@ void scale_real(double alpha, CSpan x, CMutSpan out);
 /// rotate/restore). Same arithmetic as cmul; a distinct entry point because
 /// rotators are a named stage of the relay's forward path.
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out);
+
+// ------------------------------------------------------------------------ FIR
+
+/// Block FIR: y[i] = sum_k h[k] * ext[(h.size()-1) + i*stride - k]. `ext`
+/// holds h.size()-1 context samples before the first output's newest
+/// sample; stride 1 filters, stride > 1 keeps every stride-th output of the
+/// full-rate filter (dsp::downsample). Each output starts at +0 and adds
+/// h[k] * x, re = xr*hr - xi*hi, im = xr*hi + xi*hr, taps ascending: the
+/// order of dsp::BasicFirFilter::push(). Throws when h is empty, stride is
+/// 0, or y overlaps the ext samples it reads.
+void fir(CSpan h, const Complex* ext, CMutSpan y, std::size_t stride = 1);
 
 // ----------------------------------------------------------------- reductions
 
@@ -100,8 +114,9 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 
 // ------------------------------------------------------------ float32 family
 // Overloads on the CSpan32/CMutSpan32 types (common/types.hpp) for the ops
-// the f32 forward path runs. cmul/rotate_phasor and axpy have AVX2 bodies
-// at double the f64 lane count; scale runs its scalar template. Same
+// the f32 forward path runs. cmul/rotate_phasor and fir have AVX2 bodies
+// at double the f64 lane count; axpy and scale run their scalar templates.
+// fir is stride 1 only: no f32 caller decimates. Same
 // bitwise contract — but the f32 family is its OWN checksum family: f32
 // results are deterministic across ISAs/blocks/threads yet numerically
 // distinct from the double kernels (docs/PERFORMANCE.md, "The float32
@@ -109,6 +124,7 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
+void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y);
 void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
 
@@ -128,14 +144,14 @@ CVec32 narrowed(CSpan x);
 // what tests and bench rows compare the dispatched AVX2 path against.
 namespace scalar {
 void cmul(CSpan a, CSpan b, CMutSpan out);
-void axpy(Complex alpha, CSpan x, CMutSpan y);
+void fir(CSpan h, const Complex* ext, CMutSpan y, std::size_t stride = 1);
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out);
 void radix2_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t half, std::size_t m);
 void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
                   std::size_t quarter, std::size_t m, bool invert);
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
-void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
+void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
 }  // namespace scalar
 

@@ -3,9 +3,9 @@
 // at runtime by __builtin_cpu_supports("avx2") in kernels.cpp.
 //
 // Six bodies, the ones the relay's timed paths run and the only six
-// dispatch slots: f64 cmul (which rotate_phasor is), axpy (every FIR tap),
+// dispatch slots: f64 cmul (which rotate_phasor is), fir (every FIR block),
 // radix2_stage and radix4_stage (the f64 FFT behind packet modulation), and
-// f32 cmul and axpy. Loop tails, and whole FFT stages a register cannot
+// f32 cmul and fir. Loop tails, and whole FFT stages a register cannot
 // fill, call the scalar templates.
 //
 // Bitwise contract (kernels.hpp): identical per-element formulas to the
@@ -50,20 +50,70 @@ void cmul_avx2(const Complex* a, const Complex* b, Complex* out, std::size_t n) 
   Scalar<double>::cmul(a + i, b + i, out + i, n - i);
 }
 
-void axpy_avx2(Complex alpha, const Complex* x, Complex* y, std::size_t n) {
-  const __m256d av = bcast(&alpha);
+// x * h per complex lane with h's real and imaginary parts already
+// broadcast: cmul2's arithmetic with the tap-side shuffles done once per tap.
+inline __m256d cmul2_split(__m256d x, __m256d hr, __m256d hi) {
+  return _mm256_addsub_pd(_mm256_mul_pd(x, hr), _mm256_mul_pd(_mm256_permute_pd(x, 0x5), hi));
+}
+
+// The ext samples outputs i and i + 1 meet at one tap: one 256-bit load at
+// stride 1, two 128-bit loads otherwise.
+template <bool kUnitStride>
+inline __m256d load_pair(const Complex* p, std::size_t stride) {
+  if constexpr (kUnitStride) {
+    return load2(p);
+  } else {
+    return _mm256_loadu2_m128d(reinterpret_cast<const double*>(p + stride),
+                               reinterpret_cast<const double*>(p));
+  }
+}
+
+// FIR outputs held in registers for the whole tap loop: 8 per chunk (four
+// accumulators of two), then 2 per chunk, then the scalar tail. Each output
+// starts at +0 and adds one tap at a time, taps ascending, as the scalar
+// template does; y is written once.
+template <bool kUnitStride>
+void fir_rows_avx2(const Complex* h, std::size_t taps, const Complex* ext, Complex* y,
+                   std::size_t n, std::size_t stride) {
+  const std::size_t s = kUnitStride ? 1 : stride;
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d p0 = cmul2(load2(x + i), av);
-    const __m256d p1 = cmul2(load2(x + i + 2), av);
-    store2(y + i, _mm256_add_pd(load2(y + i), p0));
-    store2(y + i + 2, _mm256_add_pd(load2(y + i + 2), p1));
+  for (; i + 8 <= n; i += 8) {
+    const Complex* newest = ext + (taps - 1) + i * s;
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < taps; ++k) {
+      const double* hk = reinterpret_cast<const double*>(h + k);
+      const __m256d hr = _mm256_broadcast_sd(hk), hi = _mm256_broadcast_sd(hk + 1);
+      const Complex* x = newest - k;
+      a0 = _mm256_add_pd(a0, cmul2_split(load_pair<kUnitStride>(x, s), hr, hi));
+      a1 = _mm256_add_pd(a1, cmul2_split(load_pair<kUnitStride>(x + 2 * s, s), hr, hi));
+      a2 = _mm256_add_pd(a2, cmul2_split(load_pair<kUnitStride>(x + 4 * s, s), hr, hi));
+      a3 = _mm256_add_pd(a3, cmul2_split(load_pair<kUnitStride>(x + 6 * s, s), hr, hi));
+    }
+    store2(y + i, a0);
+    store2(y + i + 2, a1);
+    store2(y + i + 4, a2);
+    store2(y + i + 6, a3);
   }
   for (; i + 2 <= n; i += 2) {
-    const __m256d p = cmul2(load2(x + i), av);
-    store2(y + i, _mm256_add_pd(load2(y + i), p));
+    const Complex* newest = ext + (taps - 1) + i * s;
+    __m256d a = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < taps; ++k) {
+      const double* hk = reinterpret_cast<const double*>(h + k);
+      a = _mm256_add_pd(a, cmul2_split(load_pair<kUnitStride>(newest - k, s),
+                                       _mm256_broadcast_sd(hk), _mm256_broadcast_sd(hk + 1)));
+    }
+    store2(y + i, a);
   }
-  Scalar<double>::axpy(alpha, x + i, y + i, n - i);
+  Scalar<double>::fir(h, taps, ext + i * s, y + i, n - i, s);
+}
+
+void fir_avx2(const Complex* h, std::size_t taps, const Complex* ext, Complex* y,
+              std::size_t n, std::size_t stride) {
+  if (stride == 1)
+    fir_rows_avx2<true>(h, taps, ext, y, n, 1);
+  else
+    fir_rows_avx2<false>(h, taps, ext, y, n, stride);
 }
 
 // The butterfly stages vectorize along k, two samples of one butterfly per
@@ -142,12 +192,6 @@ inline void store4f(Complex32* p, __m256 v) {
   _mm256_storeu_ps(reinterpret_cast<float*>(p), v);
 }
 
-// [wr, wi] broadcast into all four complex lanes (64-bit dup, data movement
-// only — no FP operation touches the bits).
-inline __m256 bcast1f(const Complex32* w) {
-  return _mm256_castpd_ps(_mm256_broadcast_sd(reinterpret_cast<const double*>(w)));
-}
-
 // a * b per complex lane: re = ar*br - ai*bi, im = ai*br + ar*bi.
 inline __m256 cmul4f(__m256 a, __m256 b) {
   const __m256 br = _mm256_moveldup_ps(b);
@@ -162,20 +206,45 @@ void cmul_avx2_32(const Complex32* a, const Complex32* b, Complex32* out, std::s
   Scalar<float>::cmul(a + i, b + i, out + i, n - i);
 }
 
-void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t n) {
-  const __m256 av = bcast1f(&alpha);
+// cmul4f's arithmetic with h's real and imaginary parts already broadcast.
+inline __m256 cmul4f_split(__m256 x, __m256 hr, __m256 hi) {
+  return _mm256_addsub_ps(_mm256_mul_ps(x, hr), _mm256_mul_ps(_mm256_permute_ps(x, 0xB1), hi));
+}
+
+// fir_rows_avx2 at float, stride 1: 16 outputs per chunk (four accumulators
+// of four), then 4 per chunk, then the scalar tail.
+void fir_avx2_32(const Complex32* h, std::size_t taps, const Complex32* ext, Complex32* y,
+                 std::size_t n) {
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 p0 = cmul4f(load4f(x + i), av);
-    const __m256 p1 = cmul4f(load4f(x + i + 4), av);
-    store4f(y + i, _mm256_add_ps(load4f(y + i), p0));
-    store4f(y + i + 4, _mm256_add_ps(load4f(y + i + 4), p1));
+  for (; i + 16 <= n; i += 16) {
+    const Complex32* newest = ext + (taps - 1) + i;
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < taps; ++k) {
+      const float* hk = reinterpret_cast<const float*>(h + k);
+      const __m256 hr = _mm256_broadcast_ss(hk), hi = _mm256_broadcast_ss(hk + 1);
+      const Complex32* x = newest - k;
+      a0 = _mm256_add_ps(a0, cmul4f_split(load4f(x), hr, hi));
+      a1 = _mm256_add_ps(a1, cmul4f_split(load4f(x + 4), hr, hi));
+      a2 = _mm256_add_ps(a2, cmul4f_split(load4f(x + 8), hr, hi));
+      a3 = _mm256_add_ps(a3, cmul4f_split(load4f(x + 12), hr, hi));
+    }
+    store4f(y + i, a0);
+    store4f(y + i + 4, a1);
+    store4f(y + i + 8, a2);
+    store4f(y + i + 12, a3);
   }
   for (; i + 4 <= n; i += 4) {
-    const __m256 p = cmul4f(load4f(x + i), av);
-    store4f(y + i, _mm256_add_ps(load4f(y + i), p));
+    const Complex32* newest = ext + (taps - 1) + i;
+    __m256 a = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < taps; ++k) {
+      const float* hk = reinterpret_cast<const float*>(h + k);
+      a = _mm256_add_ps(a, cmul4f_split(load4f(newest - k), _mm256_broadcast_ss(hk),
+                                        _mm256_broadcast_ss(hk + 1)));
+    }
+    store4f(y + i, a);
   }
-  Scalar<float>::axpy(alpha, x + i, y + i, n - i);
+  Scalar<float>::fir(h, taps, ext + i, y + i, n - i, 1);
 }
 
 }  // namespace
@@ -183,11 +252,11 @@ void axpy_avx2_32(Complex32 alpha, const Complex32* x, Complex32* y, std::size_t
 const KernelOps& avx2_ops() {
   static const KernelOps ops = {
       .cmul = &cmul_avx2,
-      .axpy = &axpy_avx2,
+      .fir = &fir_avx2,
       .radix2_stage = &radix2_stage_avx2,
       .radix4_stage = &radix4_stage_avx2,
       .cmul32 = &cmul_avx2_32,
-      .axpy32 = &axpy_avx2_32,
+      .fir32 = &fir_avx2_32,
   };
   return ops;
 }

@@ -20,16 +20,17 @@ namespace ff::dsp::kernels::detail {
 
 // Pointer-level dispatch table: one slot per op and lane type with an AVX2
 // body, and nothing else. One instance per compiled ISA; kernels.cpp picks
-// the ISA at process start.
+// the ISA at process start. The fir slots take (h, taps, ext, y, n[, stride]);
+// the f32 one is stride 1 only, because no f32 caller decimates.
 struct KernelOps {
   using C = std::complex<double>;
   using C32 = std::complex<float>;
   void (*cmul)(const C*, const C*, C*, std::size_t);
-  void (*axpy)(C, const C*, C*, std::size_t);
+  void (*fir)(const C*, std::size_t, const C*, C*, std::size_t, std::size_t);
   void (*radix2_stage)(const C*, C*, const C*, std::size_t, std::size_t);
   void (*radix4_stage)(const C*, C*, const C*, std::size_t, std::size_t, bool);
   void (*cmul32)(const C32*, const C32*, C32*, std::size_t);
-  void (*axpy32)(C32, const C32*, C32*, std::size_t);
+  void (*fir32)(const C32*, std::size_t, const C32*, C32*, std::size_t);
 };
 
 // The scalar reference cores for lane type T. Every multiply/add is one
@@ -40,6 +41,9 @@ struct Scalar {
   using C = std::complex<T>;
   static void cmul(const C* a, const C* b, C* out, std::size_t n);
   static void axpy(C alpha, const C* x, C* y, std::size_t n);
+  // y[i] = sum_k h[k] * ext[(taps - 1) + i * stride - k], k = 0..taps-1.
+  static void fir(const C* h, std::size_t taps, const C* ext, C* y, std::size_t n,
+                  std::size_t stride);
   static void scale(C alpha, const C* x, C* out, std::size_t n);
   static void scale_real(T alpha, const C* x, C* out, std::size_t n);
   static C cdot_conj(const C* a, const C* b, std::size_t n);

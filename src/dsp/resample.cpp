@@ -64,25 +64,15 @@ CVec downsample(CSpan x, std::size_t factor, std::size_t half_width) {
   if (factor == 1) return CVec(x.begin(), x.end());
   const CVec kernel = resample_kernel(factor, half_width);
   // Only every factor-th filter output is kept, so compute only those:
-  // output i is sum_k kernel[k] * ext[i*factor + d] with d = H - k over
-  // ext = [H zeros | x]. De-interleave ext into `factor` phase arrays so the
-  // samples tap k meets are contiguous (phase d % factor from offset
-  // d / factor), then run one axpy per tap, taps ascending — the order
-  // fir_core uses — so the kept samples are bit-identical to filtering at
-  // the full rate and decimating.
+  // output i is sum_k kernel[k] * ext[H + i*factor - k] over
+  // ext = [H zeros | x], one kernels::fir call at stride `factor`. It sums
+  // taps ascending from +0, as filtering at the full rate does, so the kept
+  // samples are bit-identical to filtering at the full rate and decimating.
   const std::size_t hist = kernel.size() - 1;
-  const std::size_t ext_len = hist + x.size();
-  const std::size_t phase_len = (ext_len + factor - 1) / factor;
-  CVec phases(factor * phase_len, Complex{});
-  for (std::size_t j = hist; j < ext_len; ++j)
-    phases[(j % factor) * phase_len + j / factor] = x[j - hist];
-  CVec out(x.size() / factor, Complex{});
-  for (std::size_t k = 0; k <= hist; ++k) {
-    const std::size_t d = hist - k;
-    kernels::axpy(kernel[k],
-                  CSpan{phases.data() + (d % factor) * phase_len + d / factor, out.size()},
-                  out);
-  }
+  CVec ext(hist + x.size(), Complex{});
+  std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(hist));
+  CVec out(x.size() / factor);
+  kernels::fir(kernel, ext.data(), out, factor);
   for (auto& v : out) v /= static_cast<double>(factor);
   return out;
 }

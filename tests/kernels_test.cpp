@@ -2,26 +2,31 @@
 //
 //  1. Bitwise arithmetic: the dispatched kernels (whatever ISA resolved on
 //     this machine) produce byte-identical output to the scalar reference,
-//     on aligned, unaligned and odd-tail spans and on every f64 FFT stage
-//     shape; the ops without an AVX2 body produce byte-identical output to
+//     on aligned, unaligned and odd-tail spans, on every f64 FFT stage
+//     shape and on every FIR tap count and stride the repository runs; the
+//     ops without an AVX2 body, and fir, produce byte-identical output to
 //     the formula kernels.hpp documents, written out here.
 //  2. Numerical accuracy of the mixed-radix Stockham FFT against the seed
 //     radix-2 reference (a tight ulp-scale bound; the two associate
 //     differently, so bitwise equality is not expected — this is the one
 //     sanctioned checksum change, docs/PERFORMANCE.md).
 //  3. Zero steady-state heap allocation in the streaming hot paths
-//     (ForwardPipeline::process_into, CancellerElement::cancel_into),
-//     asserted with a global operator-new hook.
+//     (ForwardPipeline::process_into, CancellerElement::cancel_into,
+//     ChannelElement's block path), asserted with a global operator-new
+//     hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <new>
 #include <ranges>
 #include <type_traits>
 
+#include "channel/multipath.hpp"
 #include "common/rng.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
@@ -168,6 +173,7 @@ void check_cmul() {
   });
 }
 
+// y[i] += alpha * x[i]: re = yr + (xr*ar - xi*ai), im = yi + (xr*ai + xi*ar).
 template <typename T>
 void check_axpy() {
   const std::complex<T> alpha{static_cast<T>(0.7), static_cast<T>(-1.3)};
@@ -176,9 +182,87 @@ void check_axpy() {
     Vec<T> got = random_vec<T>(rng, n);
     Vec<T> want = got;
     k::axpy(alpha, a, got);
-    k::scalar::axpy(alpha, a, want);
+    const T ar = alpha.real(), ai = alpha.imag();
+    for (std::size_t i = 0; i < n; ++i) {
+      const T xr = a[i].real(), xi = a[i].imag();
+      want[i] = {want[i].real() + (xr * ar - xi * ai), want[i].imag() + (xr * ai + xi * ar)};
+    }
     EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
   });
+}
+
+// The per-tap axpy sweep fir must equal bit for bit: y filled with +0, then
+// one axpy sweep per tap, taps ascending.
+template <typename T>
+void fir_by_axpy(Span<T> h, const std::complex<T>* ext, std::span<std::complex<T>> y,
+                 std::size_t stride) {
+  std::fill(y.begin(), y.end(), std::complex<T>{});
+  for (std::size_t k = 0; k < h.size(); ++k) {
+    const T hr = h[k].real(), hi = h[k].imag();
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      const std::complex<T> x = ext[(h.size() - 1) + i * stride - k];
+      const T xr = x.real(), xi = x.imag();
+      y[i] = {y[i].real() + (xr * hr - xi * hi), y[i].imag() + (xr * hi + xi * hr)};
+    }
+  }
+}
+
+// Dispatched and scalar fir at either width; the f32 op is stride 1 only.
+template <typename T>
+void run_fir(Span<T> h, const std::complex<T>* ext, std::span<std::complex<T>> got,
+             std::span<std::complex<T>> ref, std::size_t stride) {
+  if constexpr (std::is_same_v<T, double>) {
+    k::fir(h, ext, got, stride);
+    k::scalar::fir(h, ext, ref, stride);
+  } else {
+    k::fir(h, ext, got);
+    k::scalar::fir(h, ext, ref);
+  }
+}
+
+// Every tap count a FIR in the repository comes near (the one-tap txgain,
+// short prefilters, the 49- and 61-tap channels), every output length in
+// kSizes, aligned and data()+1 inputs. The taps' first quarter are exact
+// zeros, and the input carries a run of exact +-0 samples long enough to
+// fill whole windows.
+template <typename T>
+void check_fir(std::initializer_list<std::size_t> strides) {
+  const std::size_t tap_counts[] = {1, 2, 3, 4, 9, 49, 61};
+  const T zero = 0, neg_zero = -zero;
+  Rng rng(std::is_same_v<T, double> ? 20140820 : 20140821);
+  for (const std::size_t taps : tap_counts) {
+    Vec<T> h = random_vec<T>(rng, taps);
+    for (std::size_t k = 0; k < taps / 4; ++k) h[k] = {};
+    for (const std::size_t stride : strides) {
+      for (const std::size_t n : kSizes) {
+        const std::size_t read = taps + (n - 1) * stride;
+        Vec<T> ext = random_vec<T>(rng, read + 1);
+        for (std::size_t j = read / 3; j < std::min(read, read / 3 + taps + 3 * stride); ++j)
+          ext[j] = {j % 2 ? neg_zero : zero, j % 3 ? neg_zero : zero};
+        for (const std::size_t offset : {0, 1}) {
+          Vec<T> got(n), ref(n), want(n);
+          run_fir<T>(h, ext.data() + offset, got, ref, stride);
+          fir_by_axpy<T>(h, ext.data() + offset, want, stride);
+          EXPECT_TRUE(bitwise_equal(got, ref))
+              << "taps=" << taps << " stride=" << stride << " n=" << n << " offset=" << offset;
+          EXPECT_TRUE(bitwise_equal(got, want) && bitwise_equal(ref, want))
+              << "taps=" << taps << " stride=" << stride << " n=" << n << " offset=" << offset;
+        }
+      }
+    }
+  }
+  // One tap with positive parts over (-0, -0) samples. Summing from +0
+  // gives (+0, +0); seeding the sum with the first product would give
+  // (+0, -0).
+  const Vec<T> h(1, {static_cast<T>(0.5), static_cast<T>(0.25)});
+  for (const std::size_t n : kSizes) {
+    const Vec<T> ext(n, {neg_zero, neg_zero});
+    Vec<T> got(n), ref(n), want(n);
+    run_fir<T>(h, ext.data(), got, ref, 1);
+    fir_by_axpy<T>(h, ext.data(), want, 1);
+    EXPECT_FALSE(std::signbit(want[0].imag()));
+    EXPECT_TRUE(bitwise_equal(got, want) && bitwise_equal(ref, want)) << "n=" << n;
+  }
 }
 
 // The textbook product: re = ar*br - ai*bi, im = ar*bi + ai*br.
@@ -294,6 +378,7 @@ void check_radix_stage(std::size_t radix) {
 
 TEST(KernelsBitwise, CmulMatchesScalar) { check_cmul<double>(); }
 TEST(KernelsBitwise, AxpyMatchesScalar) { check_axpy<double>(); }
+TEST(KernelsBitwise, FirMatchesScalar) { check_fir<double>({1, 2, 3, 4, 5}); }
 TEST(KernelsBitwise, ScaleMatchesScalar) { check_scale<double>(); }
 TEST(KernelsBitwise, ScaleRealMatchesScalar) { check_scale_real(); }
 TEST(KernelsBitwise, RotatePhasorMatchesScalar) { check_rotate_phasor<double>(); }
@@ -304,6 +389,7 @@ TEST(KernelsBitwise, Radix4StageMatchesScalar) { check_radix_stage(4); }
 
 TEST(KernelsBitwiseF32, CmulMatchesScalar) { check_cmul<float>(); }
 TEST(KernelsBitwiseF32, AxpyMatchesScalar) { check_axpy<float>(); }
+TEST(KernelsBitwiseF32, FirMatchesScalar) { check_fir<float>({1}); }
 TEST(KernelsBitwiseF32, ScaleMatchesScalar) { check_scale<float>(); }
 TEST(KernelsBitwiseF32, RotatePhasorMatchesScalar) { check_rotate_phasor<float>(); }
 
@@ -328,6 +414,40 @@ TEST(KernelsF32, WidenNarrowRoundTripIsExact) {
     const CVec32 back2 = k::narrowed(wide);
     EXPECT_TRUE(bitwise_equal(back, back2)) << "n=" << n;
   }
+}
+
+// fir's three checks, one test each: an empty tap span (taps - 1 would wrap
+// to SIZE_MAX), a zero stride, and an output that overlaps the input
+// samples it reads.
+TEST(KernelsFir, RejectsEmptyTaps) {
+  k::AlignedCVec ext(8), y(4);
+  k::AlignedCVec32 ext32(8), y32(4);
+  EXPECT_THROW(k::fir(CSpan{}, ext.data(), y), std::logic_error);
+  EXPECT_THROW(k::fir(CSpan32{}, ext32.data(), y32), std::logic_error);
+  EXPECT_THROW(dsp::fir_core(CSpan{}, ext.data(), CMutSpan{y.data(), y.size()}),
+               std::logic_error);
+}
+
+TEST(KernelsFir, RejectsZeroStride) {
+  const k::AlignedCVec h(3, Complex{1.0, 0.0});
+  k::AlignedCVec ext(8), y(4);
+  EXPECT_THROW(k::fir(h, ext.data(), y, 0), std::logic_error);
+  EXPECT_THROW(k::scalar::fir(h, ext.data(), y, 0), std::logic_error);
+}
+
+TEST(KernelsFir, RejectsOutputOverlappingItsInput) {
+  const k::AlignedCVec h(3, Complex{1.0, 0.0});
+  k::AlignedCVec buf(64);
+  // 4 outputs at stride 3 read ext[0 .. 2 + 3*3], 12 samples.
+  EXPECT_THROW(k::fir(h, buf.data(), CMutSpan{buf.data() + 11, 4}, 3), std::logic_error);
+  EXPECT_THROW(k::fir(h, buf.data() + 3, CMutSpan{buf.data(), 4}, 3), std::logic_error);
+  EXPECT_THROW(k::fir(h, buf.data(), CMutSpan{buf.data(), 4}, 3), std::logic_error);
+  EXPECT_NO_THROW(k::fir(h, buf.data(), CMutSpan{buf.data() + 12, 4}, 3));
+  EXPECT_NO_THROW(k::fir(h, buf.data() + 4, CMutSpan{buf.data(), 4}, 3));
+  const k::AlignedCVec32 h32(3, Complex32{1.0f, 0.0f});
+  k::AlignedCVec32 buf32(64);
+  EXPECT_THROW(k::fir(h32, buf32.data(), CMutSpan32{buf32.data() + 5, 4}), std::logic_error);
+  EXPECT_NO_THROW(k::fir(h32, buf32.data(), CMutSpan32{buf32.data() + 6, 4}));
 }
 
 TEST(Kernels, IsaReportingIsConsistent) {
@@ -504,6 +624,44 @@ TEST(ZeroAllocation, CancellerElementF32SteadyState) {
     canc.cancel_into(CMutSpan{rx.data(), rx.size()}, CSpan{tx.data(), tx.size()});
   EXPECT_EQ(alloc_count(), before)
       << "CancellerElement f32 cancel_into allocated in steady state";
+}
+
+// A static two-path channel with noise on: the FIR and the noise draw, in
+// 512-sample blocks. process() is protected; the stream runs it per block.
+class ChannelUnderTest : public stream::ChannelElement {
+ public:
+  using stream::ChannelElement::ChannelElement;
+  using stream::ChannelElement::process;
+};
+
+void expect_channel_allocation_free(Precision precision) {
+  stream::ChannelElementConfig cfg;
+  cfg.channel = channel::MultipathChannel(
+      {{0.0, Complex{0.8, 0.1}}, {150e-9, Complex{-0.2, 0.3}}}, 2.45e9);
+  cfg.sample_rate_hz = 80e6;
+  cfg.noise_power = 1e-3;
+  cfg.precision = precision;
+  ChannelUnderTest chan("chan", cfg);
+  Rng rng(17);
+  CVec x(512);
+  for (auto& v : x) v = rng.cgaussian();
+  stream::Block block{x};
+  const auto run_block = [&] {
+    std::copy(x.begin(), x.end(), block.samples.begin());
+    chan.process(block);
+  };
+  for (int i = 0; i < 3; ++i) run_block();
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 32; ++i) run_block();
+  EXPECT_EQ(alloc_count(), before) << "ChannelElement::process allocated in steady state";
+}
+
+TEST(ZeroAllocation, ChannelElementSteadyState) {
+  expect_channel_allocation_free(Precision::kF64);
+}
+
+TEST(ZeroAllocation, ChannelElementF32SteadyState) {
+  expect_channel_allocation_free(Precision::kF32);
 }
 
 TEST(Workspace, GrowsAreCountedAndStopInSteadyState) {
