@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 
 #include "channel/cfo.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
@@ -596,6 +598,28 @@ void BM_SchedulerRoundOverhead(benchmark::State& state) {
                           static_cast<int64_t>(n_blocks));
 }
 BENCHMARK(BM_SchedulerRoundOverhead);
+
+void BM_TelemetryBlockRecord(benchmark::State& state) {
+  // What a stream element records per block when metrics are on: its block
+  // timer (a 23-character name, past the small-string buffer) and the two
+  // counters emit() adds. Names are built at run time, as set_metrics does.
+  MetricsRegistry reg;
+  const std::string prefix = std::string("stream.") + "chan_sd.";
+  const std::string block_us = prefix + "block_us";
+  const std::string blocks = prefix + "blocks";
+  const std::string samples = prefix + "samples";
+  const std::uint64_t block_size = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    {
+      MetricsRegistry::ScopedTimer timer(&reg, block_us);
+      reg.add(blocks);
+      reg.add(samples, block_size);
+    }
+    benchmark::DoNotOptimize(&reg);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TelemetryBlockRecord)->Arg(64);
 
 void BM_PacketDecode(benchmark::State& state) {
   const phy::OfdmParams params;

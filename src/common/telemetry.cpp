@@ -1,8 +1,13 @@
 #include "common/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -25,16 +30,128 @@ std::string to_string(MetricKind k) {
 
 // ------------------------------------------------------------------ shards
 
+namespace {
+
+/// Transparent hash so a shard map finds a name from a std::string_view
+/// without building a std::string (which allocates past the 15-character
+/// small-string buffer — every `stream.<elem>.block_us` name).
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
+  }
+};
+
+template <typename T>
+using NameMap = std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
+/// The value slot for `name`, created (its key string built) only the first
+/// time this map sees the name.
+template <typename T>
+T& slot(NameMap<T>& map, std::string_view name) {
+  const auto it = map.find(name);
+  return it != map.end() ? it->second : map.try_emplace(std::string(name)).first->second;
+}
+
+/// 1-based nearest rank ceil(q*n), clamped to [1, n] (n > 0): the rule
+/// behind every quantile the registry reports.
+std::uint64_t nearest_rank(double q, std::uint64_t n) {
+  const double rank = q * static_cast<double>(n);
+  auto idx = static_cast<std::uint64_t>(rank);
+  if (static_cast<double>(idx) < rank) ++idx;  // ceil
+  return std::clamp<std::uint64_t>(idx, 1, n);
+}
+
+// Timer bucket layout, log-linear like HdrHistogram: bucket 0 holds values
+// below 2^kMinExp us; each octave [2^e, 2^(e+1)) for e in [kMinExp,
+// kMinExp + kOctaves) is split into kSubBuckets equal slices; the last
+// bucket holds 2^(kMinExp + kOctaves) us and up. A slice is 1/64 of its
+// octave's lower edge wide, so its upper edge overstates any value in it by
+// at most 1/64 relative.
+constexpr int kMinExp = -10;  // ~1 ns
+constexpr int kOctaves = 40;  // up to 2^30 us, ~18 minutes
+constexpr int kSubBits = 6;
+constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
+constexpr std::size_t kTimerBuckets = 2 + kOctaves * kSubBuckets;
+constexpr double kLowestUs = 1.0 / (1u << -kMinExp);
+constexpr double kHighestUs = static_cast<double>(std::uint64_t{1} << (kMinExp + kOctaves));
+
+std::size_t timer_bucket(double us) {
+  if (!(us >= kLowestUs)) return 0;  // underflow, and NaN
+  if (us >= kHighestUs) return kTimerBuckets - 1;
+  // A normal positive double: the biased exponent picks the octave, the top
+  // kSubBits mantissa bits the slice.
+  const auto bits = std::bit_cast<std::uint64_t>(us);
+  const int exp = static_cast<int>(bits >> 52) - 1023;
+  const auto sub = static_cast<std::size_t>(bits >> (52 - kSubBits)) & (kSubBuckets - 1);
+  return 1 + static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub;
+}
+
+double bucket_upper_edge(std::size_t b) {
+  if (b == 0) return kLowestUs;
+  if (b == kTimerBuckets - 1) return std::numeric_limits<double>::infinity();
+  const std::size_t octave = (b - 1) / kSubBuckets;
+  const std::size_t sub = (b - 1) % kSubBuckets;
+  return std::ldexp(static_cast<double>(kSubBuckets + sub + 1),
+                    kMinExp + static_cast<int>(octave) - kSubBits);
+}
+
+/// One timer: exact count/min/max, a running sum, and fixed bucket counts.
+struct TimerHistogram {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  std::array<std::uint64_t, kTimerBuckets> buckets{};
+
+  void record(double us) {
+    min = count == 0 ? us : std::min(min, us);
+    max = count == 0 ? us : std::max(max, us);
+    ++count;
+    sum += us;
+    ++buckets[timer_bucket(us)];
+  }
+
+  void merge(const TimerHistogram& other) {
+    if (other.count == 0) return;
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    count += other.count;
+    sum += other.sum;
+    for (std::size_t b = 0; b < kTimerBuckets; ++b) buckets[b] += other.buckets[b];
+  }
+
+  void reset() {
+    count = 0;
+    sum = min = max = 0.0;
+    buckets.fill(0);
+  }
+
+  /// Nearest-rank quantile: the upper edge of the bucket holding the
+  /// ceil(q*count)-th smallest observation, clamped to [min, max].
+  double quantile(double q) const {
+    if (count == 0) return 0.0;
+    const std::uint64_t rank = nearest_rank(q, count);
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kTimerBuckets; ++b) {
+      seen += buckets[b];
+      if (seen >= rank) return std::clamp(bucket_upper_edge(b), min, max);
+    }
+    return max;
+  }
+};
+
+}  // namespace
+
 struct MetricsRegistry::Shard {
   // Only the owning thread writes; the mutex exists so snapshot()/clear()
-  // can read from another thread mid-run. Uncontended locks on the
-  // per-event path are nanoseconds — and events are per-tune/per-design,
-  // not per-sample.
+  // can read from another thread mid-run. An uncontended lock costs
+  // nanoseconds, against a per-block (not per-sample) recording rate.
   std::mutex mu;
-  std::unordered_map<std::string, std::uint64_t> counters;
-  std::unordered_map<std::string, double> gauges;  // last set value
-  std::unordered_map<std::string, std::vector<double>> histograms;
-  std::unordered_map<std::string, std::vector<double>> timers;
+  NameMap<std::uint64_t> counters;
+  NameMap<double> gauges;  // last set value
+  NameMap<std::vector<double>> histograms;
+  NameMap<TimerHistogram> timers;
 };
 
 namespace {
@@ -58,17 +175,11 @@ std::unordered_map<std::uint64_t, void*>& shard_cache() {
 /// arithmetic path produced an (equal-comparing) zero.
 double canonical(double v) { return v == 0.0 ? 0.0 : v; }
 
-/// Nearest-rank percentile over an ascending-sorted sample set.
-double percentile_sorted(const std::vector<double>& sorted, double p) {
-  return quantile_sorted(sorted, p / 100.0);
-}
-
-MetricValue aggregate_samples(const std::string& name, MetricKind kind,
-                              std::vector<double> samples) {
+MetricValue aggregate_samples(const std::string& name, std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   MetricValue m;
   m.name = name;
-  m.kind = kind;
+  m.kind = MetricKind::kHistogram;
   m.count = samples.size();
   if (samples.empty()) return m;
   m.min = samples.front();
@@ -80,9 +191,24 @@ MetricValue aggregate_samples(const std::string& name, MetricKind kind,
   for (const double v : samples) sum += v;
   m.sum = canonical(sum);
   m.mean = canonical(sum / static_cast<double>(samples.size()));
-  m.p50 = percentile_sorted(samples, 50.0);
-  m.p90 = percentile_sorted(samples, 90.0);
-  m.p99 = percentile_sorted(samples, 99.0);
+  m.p50 = quantile_sorted(samples, 0.50);
+  m.p90 = quantile_sorted(samples, 0.90);
+  m.p99 = quantile_sorted(samples, 0.99);
+  return m;
+}
+
+MetricValue aggregate_timer(const std::string& name, const TimerHistogram& t) {
+  MetricValue m;
+  m.name = name;
+  m.kind = MetricKind::kTimer;
+  m.count = t.count;
+  m.min = t.min;
+  m.max = t.max;
+  m.sum = canonical(t.sum);
+  m.mean = canonical(t.sum / static_cast<double>(t.count));
+  m.p50 = t.quantile(0.50);
+  m.p90 = t.quantile(0.90);
+  m.p99 = t.quantile(0.99);
   return m;
 }
 
@@ -111,11 +237,7 @@ void write_histogram_entries(JsonWriter& json, const std::vector<MetricValue>& m
 
 double quantile_sorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size());
-  std::size_t idx = static_cast<std::size_t>(rank);
-  if (static_cast<double>(idx) < rank) ++idx;  // ceil
-  if (idx == 0) idx = 1;
-  return sorted[std::min(idx, sorted.size()) - 1];
+  return sorted[nearest_rank(q, sorted.size()) - 1];
 }
 
 MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
@@ -135,25 +257,25 @@ MetricsRegistry::Shard& MetricsRegistry::local_shard() {
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
   Shard& s = local_shard();
   std::lock_guard<std::mutex> lock(s.mu);
-  s.counters[std::string(name)] += delta;
+  slot(s.counters, name) += delta;
 }
 
 void MetricsRegistry::set(std::string_view name, double value) {
   Shard& s = local_shard();
   std::lock_guard<std::mutex> lock(s.mu);
-  s.gauges[std::string(name)] = canonical(value);
+  slot(s.gauges, name) = canonical(value);
 }
 
 void MetricsRegistry::observe(std::string_view name, double value) {
   Shard& s = local_shard();
   std::lock_guard<std::mutex> lock(s.mu);
-  s.histograms[std::string(name)].push_back(canonical(value));
+  slot(s.histograms, name).push_back(canonical(value));
 }
 
 void MetricsRegistry::observe_duration_us(std::string_view name, double us) {
   Shard& s = local_shard();
   std::lock_guard<std::mutex> lock(s.mu);
-  s.timers[std::string(name)].push_back(canonical(us));
+  slot(s.timers, name).record(canonical(us));
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -162,7 +284,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::set<std::string> histogram_names;
-  std::set<std::string> timer_names;
+  std::map<std::string, TimerHistogram> timers;
 
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& shard : shards_) {
@@ -173,7 +295,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       if (!inserted) it->second = std::max(it->second, v);
     }
     for (const auto& entry : shard->histograms) histogram_names.insert(entry.first);
-    for (const auto& entry : shard->timers) timer_names.insert(entry.first);
+    // A timer zeroed by clear() and not recorded since is not reported.
+    for (const auto& [name, t] : shard->timers)
+      if (t.count > 0) timers[name].merge(t);
   }
 
   MetricsSnapshot snap;
@@ -191,25 +315,20 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     m.value = v;
     snap.gauges.push_back(std::move(m));
   }
-  // Sample metrics are merged and aggregated one name at a time, so the
+  // Histograms are merged and aggregated one name at a time, so the
   // transient copy of recorded samples is never more than one metric's.
   for (const auto& name : histogram_names)
-    snap.histograms.push_back(aggregate_samples(
-        name, MetricKind::kHistogram, gather_samples(MetricKind::kHistogram, name)));
-  for (const auto& name : timer_names)
-    snap.timers.push_back(aggregate_samples(name, MetricKind::kTimer,
-                                            gather_samples(MetricKind::kTimer, name)));
+    snap.histograms.push_back(aggregate_samples(name, gather_samples(name)));
+  for (const auto& [name, t] : timers) snap.timers.push_back(aggregate_timer(name, t));
   return snap;
 }
 
-std::vector<double> MetricsRegistry::gather_samples(MetricKind kind,
-                                                    const std::string& name) const {
+std::vector<double> MetricsRegistry::gather_samples(std::string_view name) const {
   std::vector<double> samples;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
-    const auto& metrics = kind == MetricKind::kTimer ? shard->timers : shard->histograms;
-    const auto it = metrics.find(name);
-    if (it != metrics.end())
+    const auto it = shard->histograms.find(name);
+    if (it != shard->histograms.end())
       samples.insert(samples.end(), it->second.begin(), it->second.end());
   }
   return samples;
@@ -220,7 +339,7 @@ std::vector<double> MetricsRegistry::histogram_samples(std::string_view name) co
   // concatenation across shards (any order) then an ascending sort, so the
   // result — and every quantile of it — is thread-count-invariant.
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<double> samples = gather_samples(MetricKind::kHistogram, std::string(name));
+  std::vector<double> samples = gather_samples(name);
   std::sort(samples.begin(), samples.end());
   return samples;
 }
@@ -249,7 +368,7 @@ void MetricsRegistry::clear() {
     shard->counters.clear();
     shard->gauges.clear();
     shard->histograms.clear();
-    shard->timers.clear();
+    for (auto& entry : shard->timers) entry.second.reset();
   }
 }
 

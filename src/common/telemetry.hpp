@@ -25,15 +25,20 @@
 //   * histograms — exact sample sets, merged and sorted ascending before
 //                  any aggregate (sum/mean/percentiles) is computed, so
 //                  floating-point accumulation order is pinned;
-//   * timers     — histograms of wall-clock durations. Their VALUES are
-//                  inherently nondeterministic; exporters can exclude them
-//                  (`to_json(/*include_timer_values=*/false)`) so the rest
-//                  of a report can be diffed byte-for-byte.
+//   * timers     — fixed log-linear bucket histograms of wall-clock
+//                  durations, merged by summing bucket counts. Their
+//                  VALUES are inherently nondeterministic; exporters can
+//                  exclude them (`to_json(/*include_timer_values=*/false)`)
+//                  so the rest of a report can be diffed byte-for-byte.
 //
-// Histograms store every observation (8 bytes each). That is exact and
-// deterministic, and cheap at this codebase's scale (hundreds of
-// observations per experiment); counters — not histograms — belong on
-// per-sample hot loops.
+// Memory and allocation: a timer is a fixed ~20 KB per recording thread
+// however long it runs (64 linear buckets per power of two from 2^-10 to
+// 2^30 us; p50/p90/p99 within 1/64 relative of the exact nearest-rank
+// value), so an always-on stream can time every block. Value histograms
+// store every observation (8 bytes each) because their exact quantiles are
+// pinned results (the city CDF); keep them off per-block paths. Each shard
+// looks names up by std::string_view, so once a name has been recorded on
+// a thread, recording it again allocates nothing.
 #pragma once
 
 #include <chrono>
@@ -50,8 +55,9 @@ enum class MetricKind { kCounter, kGauge, kHistogram, kTimer };
 
 std::string to_string(MetricKind k);
 
-/// One merged metric as of a snapshot. Histogram/timer aggregates are
-/// computed over the ascending-sorted sample set.
+/// One merged metric as of a snapshot. Histogram aggregates are computed
+/// over the ascending-sorted sample set; a timer's count/min/max are exact,
+/// its sum is the running sum and its percentiles come from its buckets.
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -120,7 +126,8 @@ class MetricsRegistry {
   /// Histogram: record one observation.
   void observe(std::string_view name, double value);
 
-  /// Timer-kind histogram: record a wall-clock duration in microseconds.
+  /// Timer: record a wall-clock duration in microseconds into the name's
+  /// fixed bucket histogram.
   void observe_duration_us(std::string_view name, double us);
 
   /// Merge every shard into a deterministic snapshot.
@@ -143,11 +150,14 @@ class MetricsRegistry {
   std::vector<HistogramCdfPoint> histogram_cdf(std::string_view name,
                                                std::size_t points = 20) const;
 
-  /// Drop all recorded values (shards stay registered to their threads).
+  /// Drop all recorded values (shards stay registered to their threads;
+  /// timers are zeroed in place, so recording them again allocates nothing).
   void clear();
 
   /// Scoped wall-clock timer: records into `registry` (nullptr = no-op,
-  /// not even a clock read) on destruction.
+  /// not even a clock read) on destruction. It keeps `name` as a view, so
+  /// the string must outlive the timer: a literal, or a member of the
+  /// object whose method opens the timer (Element::block_timer_name()).
   class ScopedTimer {
    public:
     ScopedTimer(MetricsRegistry* registry, std::string_view name)
@@ -165,7 +175,7 @@ class MetricsRegistry {
 
    private:
     MetricsRegistry* registry_;
-    std::string name_;
+    std::string_view name_;
     std::chrono::steady_clock::time_point start_{};
   };
 
@@ -173,9 +183,9 @@ class MetricsRegistry {
   struct Shard;
 
   Shard& local_shard();
-  /// One histogram (or, for kTimer, timer) metric's samples concatenated
-  /// across shards in shard order, unsorted. The caller holds mu_.
-  std::vector<double> gather_samples(MetricKind kind, const std::string& name) const;
+  /// One histogram metric's samples concatenated across shards in shard
+  /// order, unsorted. The caller holds mu_.
+  std::vector<double> gather_samples(std::string_view name) const;
 
   const std::uint64_t id_;  // process-unique, keys the thread-local cache
   mutable std::mutex mu_;

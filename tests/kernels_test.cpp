@@ -12,8 +12,9 @@
 //     sanctioned checksum change, docs/PERFORMANCE.md).
 //  3. Zero steady-state heap allocation in the streaming hot paths
 //     (ForwardPipeline::process_into, CancellerElement::cancel_into,
-//     ChannelElement's block path), asserted with a global operator-new
-//     hook.
+//     ChannelElement's block path) and in recording telemetry (a stream's
+//     per-block metrics, a timer's observations), asserted with a global
+//     operator-new hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,12 +29,15 @@
 
 #include "channel/multipath.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/kernels/workspace.hpp"
 #include "relay/pipeline.hpp"
 #include "stream/elements.hpp"
+#include "stream/graph.hpp"
+#include "stream/scheduler.hpp"
 
 // ------------------------------------------------------- operator-new hook
 // Every global allocation in this binary routes through alloc_count so the
@@ -662,6 +666,68 @@ TEST(ZeroAllocation, ChannelElementSteadyState) {
 
 TEST(ZeroAllocation, ChannelElementF32SteadyState) {
   expect_channel_allocation_free(Precision::kF32);
+}
+
+/// Heap allocations made while building and running VectorSource -> Fir ->
+/// Cfo -> NullSink over `blocks` 256-sample blocks under the serial
+/// reference scheduler, recording into `metrics` (nullptr = metrics off).
+std::uint64_t allocs_for_stream_run(std::size_t blocks, MetricsRegistry* metrics) {
+  constexpr std::size_t kBlock = 256;
+  Rng rng(18);
+  CVec data(blocks * kBlock);
+  for (auto& v : data) v = rng.cgaussian();
+  const CVec taps = dsp::design_lowpass(9, 0.25);
+  const std::uint64_t before = alloc_count();
+  {
+    stream::Graph g;
+    auto* src = g.emplace<stream::VectorSource>("src", std::move(data), kBlock);
+    auto* fir = g.emplace<stream::FirElement>("fir", taps);
+    auto* cfo = g.emplace<stream::CfoElement>("cfo", 30e3, 20e6);
+    auto* sink = g.emplace<stream::NullSink>("sink");
+    g.connect(*src, 0, *fir, 0);
+    g.connect(*fir, 0, *cfo, 0);
+    g.connect(*cfo, 0, *sink, 0);
+    stream::SchedulerConfig cfg;
+    cfg.threads = 1;
+    cfg.metrics = metrics;
+    stream::Scheduler(g, cfg).run();
+  }
+  return alloc_count() - before;
+}
+
+TEST(ZeroAllocation, MetricsAddNoAllocationsPerBlock) {
+  // Every per-block metric name here (stream.src.block_us, ...) is longer
+  // than the 15-character small-string buffer, so building a std::string
+  // key per call would allocate. Differencing N and 2N blocks cancels the
+  // one-time costs (graph set-up, metric names, end-of-run gauges); the
+  // per-block cost with a warmed registry must equal the cost without one.
+  constexpr std::size_t kN = 64;
+  const std::uint64_t off_n = allocs_for_stream_run(kN, nullptr);
+  const std::uint64_t off_2n = allocs_for_stream_run(2 * kN, nullptr);
+  MetricsRegistry reg;
+  (void)allocs_for_stream_run(kN, &reg);  // warm: first sight of every name
+  const std::uint64_t on_n = allocs_for_stream_run(kN, &reg);
+  const std::uint64_t on_2n = allocs_for_stream_run(2 * kN, &reg);
+  EXPECT_EQ(on_2n - on_n, off_2n - off_n)
+      << "recording metrics allocated per block: " << on_2n - on_n << " vs "
+      << off_2n - off_n << " allocations over " << kN << " blocks";
+  // The registry really recorded: four timed elements over N + N + 2N blocks.
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(snap.timers.size(), 4u);
+  for (const auto& t : snap.timers) EXPECT_EQ(t.count, 4 * kN) << t.name;
+}
+
+TEST(ZeroAllocation, TimerObservationsAllocateNothingAfterTheFirst) {
+  MetricsRegistry reg;
+  const std::string name = "stream.chan_sd.block_us";  // past the SSO buffer
+  reg.observe_duration_us(name, 1.0);
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 100000; ++i)
+    reg.observe_duration_us(name, 0.25 + static_cast<double>(i % 1000) * 0.37);
+  EXPECT_EQ(alloc_count(), before) << "timer observations allocated";
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.timers.size(), 1u);
+  EXPECT_EQ(snap.timers[0].count, 100001u);
 }
 
 TEST(Workspace, GrowsAreCountedAndStopInSteadyState) {

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/telemetry.hpp"
 
 namespace ff {
@@ -90,8 +95,17 @@ TEST(Telemetry, ClearDropsAllValues) {
   MetricsRegistry reg;
   reg.add("c");
   reg.observe("h", 1.0);
+  reg.observe_duration_us("t", 7.0);
   reg.clear();
   EXPECT_TRUE(reg.snapshot().empty());
+  // A timer is zeroed in place; recording again starts it afresh.
+  reg.observe_duration_us("t", 2.0);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.timers.size(), 1u);
+  EXPECT_EQ(snap.timers[0].count, 1u);
+  EXPECT_EQ(snap.timers[0].min, 2.0);
+  EXPECT_EQ(snap.timers[0].max, 2.0);
+  EXPECT_EQ(snap.timers[0].sum, 2.0);
 }
 
 TEST(Telemetry, JsonHasSchemaAndSections) {
@@ -194,11 +208,16 @@ TEST(Telemetry, HistogramCdfPairsProbabilitiesWithQuantiles) {
 TEST(Telemetry, QuantilesAreThreadCountInvariant) {
   // Byte-identical merge rule, extended to the quantile surface: however
   // the observations were sharded (1, 2 or 4 threads), the merged samples,
-  // any quantile, and the CDF are identical.
+  // any quantile, and the CDF are identical. A timer fed the same values
+  // merges bucket counts, so every field but its running sum is identical.
   const auto run = [](std::size_t threads) {
     auto reg = std::make_unique<MetricsRegistry>();
     parallel_for(
-        64, [&](std::size_t i) { reg->observe("q", static_cast<double>((i * 37) % 64)); },
+        64,
+        [&](std::size_t i) {
+          reg->observe("q", static_cast<double>((i * 37) % 64));
+          reg->observe_duration_us("qt", 0.1 * static_cast<double>((i * 37) % 64));
+        },
         threads);
     return reg;
   };
@@ -217,6 +236,16 @@ TEST(Telemetry, QuantilesAreThreadCountInvariant) {
       EXPECT_EQ(a[i].prob, b[i].prob);
       EXPECT_EQ(a[i].value, b[i].value);
     }
+    const auto ta = one.snapshot().timers;
+    const auto tb = many.snapshot().timers;
+    ASSERT_EQ(ta.size(), 1u);
+    ASSERT_EQ(tb.size(), 1u);
+    EXPECT_EQ(ta[0].count, tb[0].count);
+    EXPECT_EQ(ta[0].min, tb[0].min);
+    EXPECT_EQ(ta[0].max, tb[0].max);
+    EXPECT_EQ(ta[0].p50, tb[0].p50);
+    EXPECT_EQ(ta[0].p90, tb[0].p90);
+    EXPECT_EQ(ta[0].p99, tb[0].p99);
   }
 }
 
@@ -226,6 +255,110 @@ TEST(Telemetry, SnapshotMergesAcrossShards) {
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].count, 8u);
+}
+
+// ------------------------------------------------------ timer histograms
+
+TEST(Telemetry, TimerQuantilesWithinBucketError) {
+  // Log-uniform durations over nine decades, all inside the bucketed range
+  // [2^-10, 2^30) us: each percentile is its bucket's upper edge, so it may
+  // overstate the exact nearest-rank value by at most one 1/64 slice.
+  MetricsRegistry reg;
+  Rng rng(23);
+  std::vector<double> samples;
+  for (int i = 0; i < 20000; ++i) {
+    const double us = std::pow(10.0, -3.0 + 9.0 * rng.uniform());
+    samples.push_back(us);
+    reg.observe_duration_us("t.block_us", us);
+  }
+  double running_sum = 0.0;
+  for (const double v : samples) running_sum += v;
+  std::sort(samples.begin(), samples.end());
+
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.timers.size(), 1u);
+  const MetricValue& t = snap.timers[0];
+  EXPECT_EQ(t.count, samples.size());
+  EXPECT_EQ(t.min, samples.front());
+  EXPECT_EQ(t.max, samples.back());
+  EXPECT_NEAR(t.sum, running_sum, 1e-12 * running_sum);
+  EXPECT_DOUBLE_EQ(t.mean, t.sum / static_cast<double>(samples.size()));
+  const std::pair<double, double> quantiles[] = {{0.5, t.p50}, {0.9, t.p90}, {0.99, t.p99}};
+  for (const auto& [q, reported] : quantiles) {
+    const double exact = quantile_sorted(samples, q);
+    EXPECT_GE(reported, exact) << "q=" << q;
+    EXPECT_LE(reported, exact * (1.0 + 1.0 / 64.0)) << "q=" << q;
+  }
+}
+
+TEST(Telemetry, TimerQuantilesStayWithinMinAndMax) {
+  // One observation: every percentile is that value, not its bucket edge.
+  // Values outside the bucketed range land in the under/overflow buckets
+  // and still report inside [min, max].
+  MetricsRegistry reg;
+  reg.observe_duration_us("one", 3.0);
+  reg.observe_duration_us("tiny", 0.0);
+  reg.observe_duration_us("tiny", 1e-4);
+  reg.observe_duration_us("huge", 5e9);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.timers.size(), 3u);
+  for (const MetricValue& t : snap.timers) {
+    for (const double p : {t.p50, t.p90, t.p99}) {
+      EXPECT_GE(p, t.min) << t.name;
+      EXPECT_LE(p, t.max) << t.name;
+    }
+  }
+  EXPECT_EQ(snap.timers[0].p50, 5e9);  // "huge"
+  EXPECT_EQ(snap.timers[1].p99, 3.0);  // "one"
+}
+
+TEST(Telemetry, SnapshotWhileRecordingIsRaceFree) {
+  // The daemon's pattern: session threads record while the control thread
+  // snapshots. Three recorders run until the main thread has taken 100
+  // snapshots; every snapshot sees monotone counts and the final one is
+  // exact.
+  MetricsRegistry reg;
+  constexpr int kThreads = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::uint64_t> recorded(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      std::uint64_t n = 0;
+      do {
+        reg.add("race.stream.items");
+        reg.add("race.stream.samples", 64);
+        reg.observe_duration_us("race.stream.block_us", 0.5 + static_cast<double>(n % 100));
+        if (++n == 1) started.fetch_add(1);
+      } while (!stop.load());
+      recorded[k] = n;
+    });
+  }
+  while (started.load() < kThreads) std::this_thread::yield();
+  std::uint64_t last = 0;
+  for (int i = 0; i < 100; ++i) {
+    // No ASSERT here: returning early would destroy unjoined threads.
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.size(), 2u);
+    EXPECT_EQ(snap.timers.size(), 1u);
+    if (snap.counters.empty()) continue;
+    EXPECT_GE(snap.counters[0].count, last);
+    last = snap.counters[0].count;
+  }
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : recorded) total += n;
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].name, "race.stream.items");
+  EXPECT_EQ(snap.counters[0].count, total);
+  EXPECT_EQ(snap.counters[1].count, 64 * total);
+  ASSERT_EQ(snap.timers.size(), 1u);
+  EXPECT_EQ(snap.timers[0].count, total);
+  EXPECT_EQ(snap.timers[0].min, 0.5);
 }
 
 }  // namespace
