@@ -19,9 +19,12 @@
 #include "dsp/resample.hpp"
 #include "fullduplex/digital_canceller.hpp"
 #include "fullduplex/stack.hpp"
+#include "linalg/matrix.hpp"
 #include "phy/fec.hpp"
 #include "phy/frame.hpp"
+#include "phy/params.hpp"
 #include "relay/cnf_design.hpp"
+#include "relay/digital_prefilter.hpp"
 #include "relay/pipeline.hpp"
 #include "stream/elements.hpp"
 #include "stream/graph.hpp"
@@ -406,6 +409,35 @@ void BM_CnfMimoDesignPerSubcarrier(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CnfMimoDesignPerSubcarrier);
+
+// One filter entry's digital/analog split on the 2x2 testbed's 56-subcarrier
+// grid, as relay::design_ff_relay runs it K*K times per location.
+void BM_CnfSplitTestbedGrid(benchmark::State& state) {
+  const auto freqs = phy::OfdmParams{}.used_subcarrier_freqs();
+  CVec target(freqs.size());
+  for (std::size_t i = 0; i < freqs.size(); ++i)
+    target[i] = std::polar(0.8 + 0.2 * std::cos(kTwoPi * freqs[i] / 9e6),
+                           kTwoPi * freqs[i] * 40e-9 + 0.3);
+  for (auto _ : state) {
+    const relay::CnfSplit split = relay::design_cnf_split(target, freqs);
+    benchmark::DoNotOptimize(split.realized.data());
+  }
+}
+BENCHMARK(BM_CnfSplitTestbedGrid);
+
+// The per-subcarrier rate computation's 2x2 singular values
+// (phy::mimo_throughput_mbps runs one per subcarrier per scheme).
+void BM_SingularValues2x2(benchmark::State& state) {
+  Rng rng(12);
+  linalg::Matrix h(2, 2);
+  for (std::size_t i = 0; i < 2; ++i)
+    for (std::size_t j = 0; j < 2; ++j) h(i, j) = rng.cgaussian();
+  for (auto _ : state) {
+    const std::vector<double> sigma = linalg::singular_values(h);
+    benchmark::DoNotOptimize(sigma.data());
+  }
+}
+BENCHMARK(BM_SingularValues2x2);
 
 void BM_ViterbiDecode(benchmark::State& state) {
   Rng rng(7);

@@ -154,12 +154,21 @@ CVec design_lowpass(std::size_t taps, double cutoff_norm) {
   return h;
 }
 
+Complex freq_response_phasor(double f_norm, std::size_t k) {
+  const double ang = -kTwoPi * f_norm * static_cast<double>(k);
+  return Complex{std::cos(ang), std::sin(ang)};
+}
+
 Complex freq_response(CSpan taps, double f_norm) {
   Complex acc{0.0, 0.0};
-  for (std::size_t k = 0; k < taps.size(); ++k) {
-    const double ang = -kTwoPi * f_norm * static_cast<double>(k);
-    acc += taps[k] * Complex{std::cos(ang), std::sin(ang)};
-  }
+  for (std::size_t k = 0; k < taps.size(); ++k) acc += taps[k] * freq_response_phasor(f_norm, k);
+  return acc;
+}
+
+Complex freq_response(CSpan taps, CSpan phasors) {
+  FF_CHECK(phasors.size() >= taps.size());
+  Complex acc{0.0, 0.0};
+  for (std::size_t k = 0; k < taps.size(); ++k) acc += taps[k] * phasors[k];
   return acc;
 }
 

@@ -112,6 +112,15 @@ void fir_core(std::type_identity_t<std::span<const std::complex<T>>> h,
 /// `f_norm` in cycles/sample (i.e. H(e^{j 2 pi f_norm})).
 Complex freq_response(CSpan taps, double f_norm);
 
+/// Tap k's phasor e^{-j 2 pi f_norm k} in `freq_response(taps, f_norm)`.
+Complex freq_response_phasor(double f_norm, std::size_t k);
+
+/// The response from precomputed phasors: sum_k taps[k] * phasors[k]. With
+/// phasors[k] = freq_response_phasor(f_norm, k) it equals
+/// freq_response(taps, f_norm) bit for bit, so a caller that evaluates
+/// several filters on one frequency grid computes the trig once.
+Complex freq_response(CSpan taps, CSpan phasors);
+
 /// Linear-phase low-pass design (Hamming-windowed sinc): `taps` coefficients
 /// with cutoff `cutoff_norm` (cycles/sample, 0 < cutoff <= 0.5), unit DC
 /// gain, group delay (taps-1)/2 samples. Odd tap counts give integer delay.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/check.hpp"
 
@@ -23,10 +24,10 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::diagonal(CSpan d) {
-  Matrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
+void Matrix::set_zero(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, Complex{});
 }
 
 Matrix Matrix::operator+(const Matrix& o) const {
@@ -43,17 +44,23 @@ Matrix Matrix::operator-(const Matrix& o) const {
   return out;
 }
 
-Matrix Matrix::operator*(const Matrix& o) const {
-  FF_CHECK_MSG(cols_ == o.rows_, "matmul shape mismatch " << rows_ << "x" << cols_
-                                 << " * " << o.rows_ << "x" << o.cols_);
-  Matrix out(rows_, o.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const Complex aik = (*this)(i, k);
+void multiply(const Matrix& a, const Matrix& b, Matrix& out) {
+  FF_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch " << a.rows() << "x" << a.cols()
+                                     << " * " << b.rows() << "x" << b.cols());
+  FF_CHECK_MSG(&out != &a && &out != &b, "multiply(): out aliases an operand");
+  out.set_zero(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const Complex aik = a(i, k);
       if (aik == Complex{}) continue;
-      for (std::size_t j = 0; j < o.cols_; ++j) out(i, j) += aik * o(k, j);
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
     }
   }
+}
+
+Matrix Matrix::operator*(const Matrix& o) const {
+  Matrix out;
+  multiply(*this, o, out);
   return out;
 }
 
@@ -81,24 +88,10 @@ Matrix Matrix::adjoint() const {
   return out;
 }
 
-Matrix Matrix::transpose() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(j, i) = (*this)(i, j);
-  return out;
-}
-
 double Matrix::frobenius() const {
   double acc = 0.0;
   for (const Complex x : data_) acc += std::norm(x);
   return std::sqrt(acc);
-}
-
-Matrix Matrix::column(std::size_t c) const {
-  FF_CHECK(c < cols_);
-  Matrix out(rows_, 1);
-  for (std::size_t i = 0; i < rows_; ++i) out(i, 0) = (*this)(i, c);
-  return out;
 }
 
 Matrix operator*(Complex s, const Matrix& m) { return m * s; }
@@ -106,11 +99,15 @@ Matrix operator*(Complex s, const Matrix& m) { return m * s; }
 namespace {
 
 /// LU with partial pivoting; returns pivot sign and leaves LU packed in a.
-/// Returns false if a pivot underflows (singular to working precision).
-bool lu_decompose(Matrix& a, std::vector<std::size_t>& perm, int& sign) {
+/// Records the row permutation in `perm` unless it is null (the determinant
+/// needs only the sign). Returns false if a pivot underflows (singular to
+/// working precision).
+bool lu_decompose(Matrix& a, std::vector<std::size_t>* perm, int& sign) {
   const std::size_t n = a.rows();
-  perm.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  if (perm != nullptr) {
+    perm->resize(n);
+    for (std::size_t i = 0; i < n; ++i) (*perm)[i] = i;
+  }
   sign = 1;
   for (std::size_t k = 0; k < n; ++k) {
     std::size_t piv = k;
@@ -122,7 +119,7 @@ bool lu_decompose(Matrix& a, std::vector<std::size_t>& perm, int& sign) {
     if (best < 1e-300) return false;
     if (piv != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(piv, j));
-      std::swap(perm[k], perm[piv]);
+      if (perm != nullptr) std::swap((*perm)[k], (*perm)[piv]);
       sign = -sign;
     }
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -136,15 +133,18 @@ bool lu_decompose(Matrix& a, std::vector<std::size_t>& perm, int& sign) {
 
 }  // namespace
 
-Complex determinant(const Matrix& a) {
+Complex determinant_in_place(Matrix& a) {
   FF_CHECK(a.is_square());
-  Matrix lu = a;
-  std::vector<std::size_t> perm;
   int sign = 0;
-  if (!lu_decompose(lu, perm, sign)) return Complex{0.0, 0.0};
+  if (!lu_decompose(a, nullptr, sign)) return Complex{0.0, 0.0};
   Complex det{static_cast<double>(sign), 0.0};
-  for (std::size_t i = 0; i < lu.rows(); ++i) det *= lu(i, i);
+  for (std::size_t i = 0; i < a.rows(); ++i) det *= a(i, i);
   return det;
+}
+
+Complex determinant(const Matrix& a) {
+  Matrix lu = a;
+  return determinant_in_place(lu);
 }
 
 Matrix solve(const Matrix& a, const Matrix& b) {
@@ -153,7 +153,7 @@ Matrix solve(const Matrix& a, const Matrix& b) {
   Matrix lu = a;
   std::vector<std::size_t> perm;
   int sign = 0;
-  FF_CHECK_MSG(lu_decompose(lu, perm, sign), "solve(): singular matrix");
+  FF_CHECK_MSG(lu_decompose(lu, &perm, sign), "solve(): singular matrix");
   const std::size_t n = a.rows();
   Matrix x(n, b.cols());
   for (std::size_t col = 0; col < b.cols(); ++col) {
@@ -241,13 +241,13 @@ Matrix least_squares(const Matrix& a, const Matrix& b, double ridge) {
   return x;
 }
 
-Svd svd(const Matrix& a) {
-  // One-sided Jacobi on columns of a working copy W (starts as A, ends as
-  // U * diag(sigma)); V accumulates the rotations.
+std::vector<double> singular_values(const Matrix& a) {
+  // One-sided Jacobi on the columns of a working copy W (starts as A, ends as
+  // U * diag(sigma)). The rotations' product would be V, but nothing feeds it
+  // back into W, so only W is rotated.
   const std::size_t m = a.rows(), n = a.cols();
   FF_CHECK(m > 0 && n > 0);
   Matrix w = a;
-  Matrix v = Matrix::identity(n);
 
   const int max_sweeps = 60;
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
@@ -279,11 +279,6 @@ Svd svd(const Matrix& a) {
           w(i, p) = c * wp - std::conj(sp) * wq;
           w(i, q) = sp * wp + c * wq;
         }
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex vp = v(i, p), vq = v(i, q);
-          v(i, p) = c * vp - std::conj(sp) * vq;
-          v(i, q) = sp * vp + c * vq;
-        }
       }
     }
     if (off < 1e-28) break;
@@ -291,34 +286,14 @@ Svd svd(const Matrix& a) {
 
   // Column norms are the singular values.
   std::vector<double> sigma(n);
-  Matrix u(m, n);
   for (std::size_t j = 0; j < n; ++j) {
     double norm_sq = 0.0;
     for (std::size_t i = 0; i < m; ++i) norm_sq += std::norm(w(i, j));
     sigma[j] = std::sqrt(norm_sq);
-    if (sigma[j] > 1e-300)
-      for (std::size_t i = 0; i < m; ++i) u(i, j) = w(i, j) / sigma[j];
   }
-
-  // Sort by descending singular value.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return sigma[x] > sigma[y];
-  });
-  Svd out;
-  out.sigma.resize(n);
-  out.u = Matrix(m, n);
-  out.v = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.sigma[j] = sigma[order[j]];
-    for (std::size_t i = 0; i < m; ++i) out.u(i, j) = u(i, order[j]);
-    for (std::size_t i = 0; i < n; ++i) out.v(i, j) = v(i, order[j]);
-  }
-  return out;
+  std::sort(sigma.begin(), sigma.end(), std::greater<>());
+  return sigma;
 }
-
-std::vector<double> singular_values(const Matrix& a) { return svd(a).sigma; }
 
 std::size_t rank(const Matrix& a, double tol) {
   const auto s = singular_values(a);
@@ -327,107 +302,6 @@ std::size_t rank(const Matrix& a, double tol) {
   for (const double v : s)
     if (v > tol * s[0]) ++r;
   return r;
-}
-
-Eigen hermitian_eigen(const Matrix& a) {
-  FF_CHECK(a.is_square());
-  const std::size_t n = a.rows();
-  Matrix w = a;
-  Matrix vecs = Matrix::identity(n);
-
-  for (int sweep = 0; sweep < 60; ++sweep) {
-    double off = 0.0;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const Complex apq = w(p, q);
-        const double mag = std::abs(apq);
-        off += mag * mag;
-        if (mag < 1e-30) continue;
-        const double app = w(p, p).real(), aqq = w(q, q).real();
-        const Complex phase = apq / mag;
-        const double tau = (aqq - app) / (2.0 * mag);
-        const double t = (tau >= 0.0 ? 1.0 : -1.0) / (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        const Complex sp = s * phase;
-
-        // W <- J^H W J where J rotates columns p,q.
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex wp = w(i, p), wq = w(i, q);
-          w(i, p) = c * wp - std::conj(sp) * wq;
-          w(i, q) = sp * wp + c * wq;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          const Complex wp = w(p, j), wq = w(q, j);
-          w(p, j) = c * wp - sp * wq;
-          w(q, j) = std::conj(sp) * wp + c * wq;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex vp = vecs(i, p), vq = vecs(i, q);
-          vecs(i, p) = c * vp - std::conj(sp) * vq;
-          vecs(i, q) = sp * vp + c * vq;
-        }
-      }
-    }
-    if (off < 1e-28) break;
-  }
-
-  Eigen out;
-  out.values.resize(n);
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.values[i] = w(i, i).real();
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return w(x, x).real() < w(y, y).real();
-  });
-  Eigen sorted;
-  sorted.values.resize(n);
-  sorted.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    sorted.values[j] = w(order[j], order[j]).real();
-    for (std::size_t i = 0; i < n; ++i) sorted.vectors(i, j) = vecs(i, order[j]);
-  }
-  return sorted;
-}
-
-double mimo_capacity(const Matrix& h, double snr_linear) {
-  const auto s = singular_values(h);
-  const double nt = static_cast<double>(h.cols());
-  double cap = 0.0;
-  for (const double sv : s) cap += std::log2(1.0 + snr_linear * sv * sv / nt);
-  return cap;
-}
-
-std::vector<double> water_fill(std::span<const double> gains, double total_power) {
-  FF_CHECK(total_power >= 0.0);
-  std::vector<double> power(gains.size(), 0.0);
-  if (gains.empty() || total_power == 0.0) return power;
-
-  // Sort channel indices by descending gain; add channels while the water
-  // level stays above 1/gain.
-  std::vector<std::size_t> order(gains.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return gains[a] > gains[b];
-  });
-
-  std::size_t active = 0;
-  double level = 0.0;
-  double inv_sum = 0.0;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const double g = gains[order[k]];
-    if (g <= 0.0) break;
-    inv_sum += 1.0 / g;
-    const double candidate = (total_power + inv_sum) / static_cast<double>(k + 1);
-    if (candidate < 1.0 / g) break;  // channel k would get negative power
-    active = k + 1;
-    level = candidate;
-  }
-  for (std::size_t k = 0; k < active; ++k)
-    power[order[k]] = level - 1.0 / gains[order[k]];
-  return power;
 }
 
 }  // namespace ff::linalg

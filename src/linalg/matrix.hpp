@@ -2,9 +2,14 @@
 //
 // The MIMO channels in this system are tiny (2x2 to 4x4), but the digital
 // cancellation least-squares problems involve tall skinny systems with a few
-// hundred columns, so the implementation is dense, allocation-friendly, and
-// favours numerical robustness (Householder QR, Jacobi SVD) over asymptotic
-// speed.
+// hundred columns, so the implementation is dense and favours numerical
+// robustness (LU with partial pivoting, Householder QR, one-sided Jacobi
+// singular values) over asymptotic speed. The CNF design evaluates
+// |det(H_sd + H_rd F A H_sr)| about a thousand times per location, so the
+// product and the determinant also come in forms that work in the caller's
+// storage (`multiply`, `determinant_in_place`) and allocate nothing once that
+// storage has held a matrix of the size; `operator*` and `determinant` wrap
+// them, so each operation has one implementation.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +29,10 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
   static Matrix zeros(std::size_t rows, std::size_t cols) { return {rows, cols}; }
-  /// Diagonal matrix from a span.
-  static Matrix diagonal(CSpan d);
+
+  /// Reshape to rows x cols, every entry +0. Reuses the storage when it is
+  /// large enough, so it allocates only to grow.
+  void set_zero(std::size_t rows, std::size_t cols);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -46,14 +53,9 @@ class Matrix {
 
   /// Conjugate transpose.
   Matrix adjoint() const;
-  /// Plain transpose.
-  Matrix transpose() const;
 
   /// Frobenius norm.
   double frobenius() const;
-
-  /// Extract column c as a vector (rows x 1 matrix).
-  Matrix column(std::size_t c) const;
 
  private:
   std::size_t rows_ = 0, cols_ = 0;
@@ -62,8 +64,17 @@ class Matrix {
 
 Matrix operator*(Complex s, const Matrix& m);
 
+/// out = a * b, written into out's storage (see `set_zero`). Each entry sums
+/// its products from +0 in index order and skips exact-zero entries of a.
+/// out must not be a or b.
+void multiply(const Matrix& a, const Matrix& b, Matrix& out);
+
 /// Determinant via LU with partial pivoting. Requires square.
 Complex determinant(const Matrix& a);
+
+/// The same determinant, factoring `a` in place: `a` is left holding its LU
+/// factors. Allocates nothing.
+Complex determinant_in_place(Matrix& a);
 
 /// Inverse via LU. Throws on (numerically) singular input.
 Matrix inverse(const Matrix& a);
@@ -75,35 +86,11 @@ Matrix solve(const Matrix& a, const Matrix& b);
 /// on the (optionally) augmented system. A must have rows >= cols.
 Matrix least_squares(const Matrix& a, const Matrix& b, double ridge = 0.0);
 
-/// Singular values (descending) via one-sided Jacobi. Works for any shape.
+/// Singular values (descending, one per column) via one-sided Jacobi. Works
+/// for any shape.
 std::vector<double> singular_values(const Matrix& a);
-
-struct Svd {
-  Matrix u;                      // rows x k
-  std::vector<double> sigma;     // k singular values, descending
-  Matrix v;                      // cols x k  (A = U diag(sigma) V^H)
-};
-
-/// Thin SVD via one-sided Jacobi.
-Svd svd(const Matrix& a);
 
 /// Numerical rank: number of singular values > tol * max(sigma).
 std::size_t rank(const Matrix& a, double tol = 1e-9);
-
-/// Eigen-decomposition of a Hermitian matrix via cyclic Jacobi rotations.
-struct Eigen {
-  std::vector<double> values;  // ascending
-  Matrix vectors;              // columns are eigenvectors
-};
-Eigen hermitian_eigen(const Matrix& a);
-
-/// Shannon capacity (bits/s/Hz) of a MIMO channel H at per-stream SNR
-/// `snr_linear` with equal power allocation: sum log2(1 + snr * s_i^2 / Nt).
-double mimo_capacity(const Matrix& h, double snr_linear);
-
-/// Water-filling power allocation over parallel channel gains
-/// (gains_i = |h_i|^2 / noise_i), total power constraint `total_power`.
-/// Returns per-channel powers summing to total_power.
-std::vector<double> water_fill(std::span<const double> gains, double total_power);
 
 }  // namespace ff::linalg

@@ -1,7 +1,6 @@
 #include "opt/optimizers.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -23,10 +22,16 @@ OptResult nelder_mead(const Objective& f, std::vector<double> x0,
   constexpr double rho = 0.5;     // contraction
   constexpr double sigma = 0.5;   // shrink
 
+  // Per-iteration storage, reused: the vertex order, the centroid, the
+  // reflected point and one trial point (expansion or contraction).
+  std::vector<std::size_t> order(n + 1);
+  std::vector<double> centroid(n);
+  std::vector<double> reflected(n);
+  std::vector<double> trial(n);
+
   std::size_t iter = 0;
   for (; iter < opts.max_iterations; ++iter) {
     // Order the simplex by objective value.
-    std::vector<std::size_t> order(n + 1);
     for (std::size_t i = 0; i <= n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
@@ -35,43 +40,43 @@ OptResult nelder_mead(const Objective& f, std::vector<double> x0,
     if (values[worst] - values[best] < opts.tolerance) break;
 
     // Centroid of all but the worst vertex.
-    std::vector<double> centroid(n, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t i = 0; i <= n; ++i) {
       if (i == worst) continue;
       for (std::size_t d = 0; d < n; ++d) centroid[d] += simplex[i][d];
     }
     for (double& c : centroid) c /= static_cast<double>(n);
 
-    auto blend = [&](double coeff) {
-      std::vector<double> p(n);
+    const auto blend = [&](double coeff, std::vector<double>& p) {
       for (std::size_t d = 0; d < n; ++d)
         p[d] = centroid[d] + coeff * (centroid[d] - simplex[worst][d]);
-      return p;
     };
 
-    const std::vector<double> reflected = blend(alpha);
+    // Replacing the worst vertex swaps storage with the accepted point; the
+    // old vertex becomes scratch for the next iteration.
+    blend(alpha, reflected);
     const double fr = f(reflected);
     if (fr < values[best]) {
-      const std::vector<double> expanded = blend(gamma);
-      const double fe = f(expanded);
+      blend(gamma, trial);
+      const double fe = f(trial);
       if (fe < fr) {
-        simplex[worst] = expanded;
+        simplex[worst].swap(trial);
         values[worst] = fe;
       } else {
-        simplex[worst] = reflected;
+        simplex[worst].swap(reflected);
         values[worst] = fr;
       }
       continue;
     }
     if (fr < values[second_worst]) {
-      simplex[worst] = reflected;
+      simplex[worst].swap(reflected);
       values[worst] = fr;
       continue;
     }
-    const std::vector<double> contracted = blend(-rho);
-    const double fc = f(contracted);
+    blend(-rho, trial);
+    const double fc = f(trial);
     if (fc < values[worst]) {
-      simplex[worst] = contracted;
+      simplex[worst].swap(trial);
       values[worst] = fc;
       continue;
     }
@@ -87,79 +92,6 @@ OptResult nelder_mead(const Objective& f, std::vector<double> x0,
   const std::size_t best =
       static_cast<std::size_t>(std::min_element(values.begin(), values.end()) - values.begin());
   return {simplex[best], values[best], iter};
-}
-
-OptResult gradient_descent(const Objective& f, std::vector<double> x0,
-                           const std::function<void(std::vector<double>&)>& project,
-                           const GradientOptions& opts) {
-  FF_CHECK(!x0.empty());
-  std::vector<double> x = std::move(x0);
-  if (project) project(x);
-  double fx = f(x);
-  const std::size_t n = x.size();
-  std::vector<double> grad(n);
-
-  std::size_t iter = 0;
-  for (; iter < opts.max_iterations; ++iter) {
-    // Central-difference gradient.
-    for (std::size_t d = 0; d < n; ++d) {
-      const double saved = x[d];
-      x[d] = saved + opts.fd_epsilon;
-      const double fp = f(x);
-      x[d] = saved - opts.fd_epsilon;
-      const double fm = f(x);
-      x[d] = saved;
-      grad[d] = (fp - fm) / (2.0 * opts.fd_epsilon);
-    }
-    double gnorm = 0.0;
-    for (const double g : grad) gnorm += g * g;
-    if (gnorm < 1e-24) break;
-
-    // Backtracking line search.
-    double step = opts.step;
-    bool improved = false;
-    for (int bt = 0; bt < 30; ++bt) {
-      std::vector<double> cand = x;
-      for (std::size_t d = 0; d < n; ++d) cand[d] -= step * grad[d];
-      if (project) project(cand);
-      const double fc = f(cand);
-      if (fc < fx - opts.tolerance) {
-        x = std::move(cand);
-        fx = fc;
-        improved = true;
-        break;
-      }
-      step *= 0.5;
-    }
-    if (!improved) break;
-  }
-  return {x, fx, iter};
-}
-
-double golden_section(const std::function<double(double)>& f, double lo, double hi,
-                      double tol) {
-  FF_CHECK(lo <= hi);
-  const double gr = (std::sqrt(5.0) - 1.0) / 2.0;
-  double a = lo, b = hi;
-  double c = b - gr * (b - a);
-  double d = a + gr * (b - a);
-  double fc = f(c), fd = f(d);
-  while (b - a > tol) {
-    if (fc < fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = b - gr * (b - a);
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + gr * (b - a);
-      fd = f(d);
-    }
-  }
-  return (a + b) / 2.0;
 }
 
 }  // namespace ff::opt

@@ -70,19 +70,33 @@ Complex AnalogCnfFilter::tune(Complex target) {
   return achieved;
 }
 
+Complex AnalogCnfFilter::tap_phasor(double f_bb_hz, std::size_t k) const {
+  const double ang = -kTwoPi * (cfg_.carrier_hz + f_bb_hz) * delays_[k];
+  return Complex{std::cos(ang), std::sin(ang)};
+}
+
 Complex AnalogCnfFilter::response(double f_bb_hz) const {
   Complex acc{0.0, 0.0};
-  for (std::size_t k = 0; k < delays_.size(); ++k) {
-    const double ang = -kTwoPi * (cfg_.carrier_hz + f_bb_hz) * delays_[k];
-    acc += gains_[k] * Complex{std::cos(ang), std::sin(ang)};
-  }
+  for (std::size_t k = 0; k < delays_.size(); ++k) acc += gains_[k] * tap_phasor(f_bb_hz, k);
   return acc;
 }
 
-CVec AnalogCnfFilter::response(RSpan f_bb_hz) const {
-  CVec out(f_bb_hz.size());
-  for (std::size_t i = 0; i < f_bb_hz.size(); ++i) out[i] = response(f_bb_hz[i]);
+CVec AnalogCnfFilter::tap_phasors(RSpan f_bb_hz) const {
+  const std::size_t n = delays_.size();
+  CVec out(f_bb_hz.size() * n);
+  for (std::size_t i = 0; i < f_bb_hz.size(); ++i)
+    for (std::size_t k = 0; k < n; ++k) out[i * n + k] = tap_phasor(f_bb_hz[i], k);
   return out;
+}
+
+void AnalogCnfFilter::response(CSpan phasors, CMutSpan out) const {
+  const std::size_t n = delays_.size();
+  FF_CHECK(phasors.size() == out.size() * n);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    Complex acc{0.0, 0.0};
+    for (std::size_t k = 0; k < n; ++k) acc += gains_[k] * phasors[i * n + k];
+    out[i] = acc;
+  }
 }
 
 double AnalogCnfFilter::max_delay_s() const {

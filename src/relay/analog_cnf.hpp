@@ -38,8 +38,15 @@ class AnalogCnfFilter {
   /// Response at baseband offset `f_bb_hz` from the carrier.
   Complex response(double f_bb_hz) const;
 
-  /// Responses at several baseband frequencies.
-  CVec response(RSpan f_bb_hz) const;
+  /// Every tap's phasor e^{-j 2 pi (fc + f) tau_k} at each grid frequency,
+  /// one row of `config().taps` entries per frequency. The phasors do not
+  /// depend on the gains, so a design that re-tunes the filter on one grid
+  /// computes them once.
+  CVec tap_phasors(RSpan f_bb_hz) const;
+
+  /// The responses on the grid `phasors` (from tap_phasors) was built for,
+  /// equal bit for bit to response(f) at each grid frequency.
+  void response(CSpan phasors, CMutSpan out) const;
 
   /// Group delay of the filter (max tap delay) — part of the relay latency
   /// budget (about 0.3 ns: negligible next to the CP).
@@ -47,6 +54,7 @@ class AnalogCnfFilter {
 
  private:
   double quantize(double gain) const;
+  Complex tap_phasor(double f_bb_hz, std::size_t k) const;
 
   AnalogCnfConfig cfg_;
   std::vector<double> delays_;

@@ -1,6 +1,8 @@
 #include "relay/cnf_design.hpp"
 
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/units.hpp"
@@ -40,38 +42,76 @@ std::size_t unitary_param_count(std::size_t k) {
   return k * (k - 1) / 2 + k * (k + 1) / 2;  // = k*k
 }
 
-linalg::Matrix unitary_from_params(std::span<const double> params, std::size_t k) {
+namespace {
+
+/// Storage the MIMO design reuses across objective evaluations: the unitary
+/// F with the Givens rotation being applied and the product's other buffer,
+/// then H_rd F A, the relayed path (H_rd F A) H_sr and the combined channel
+/// (whose LU factors the determinant leaves in place). Each matrix allocates
+/// the first time it holds a K x K product and never again.
+struct MimoScratch {
+  linalg::Matrix u, g, u_next;
+  linalg::Matrix rd_f, relay;
+  linalg::Matrix combined;
+};
+
+/// unitary_from_params into s.u.
+void build_unitary(std::span<const double> params, std::size_t k, MimoScratch& s) {
   FF_CHECK(params.size() == unitary_param_count(k));
   // Start from a diagonal of phases, then apply Givens rotations (each with
   // its own phase) on every pair (p, q). This parameterization is surjective
   // onto U(k).
   std::size_t idx = 0;
-  linalg::Matrix u(k, k);
+  s.u.set_zero(k, k);
   for (std::size_t i = 0; i < k; ++i) {
     const double phi = params[idx++];
-    u(i, i) = Complex{std::cos(phi), std::sin(phi)};
+    s.u(i, i) = Complex{std::cos(phi), std::sin(phi)};
   }
   for (std::size_t p = 0; p < k; ++p) {
     for (std::size_t q = p + 1; q < k; ++q) {
       const double theta = params[idx++];
       const double phi = params[idx++];
-      linalg::Matrix g = linalg::Matrix::identity(k);
-      const double c = std::cos(theta), s = std::sin(theta);
+      linalg::Matrix& g = s.g;
+      g.set_zero(k, k);
+      for (std::size_t i = 0; i < k; ++i) g(i, i) = 1.0;
+      const double c = std::cos(theta), sn = std::sin(theta);
       const Complex e{std::cos(phi), std::sin(phi)};
       g(p, p) = c;
-      g(p, q) = -s * std::conj(e);
-      g(q, p) = s * e;
+      g(p, q) = -sn * std::conj(e);
+      g(q, p) = sn * e;
       g(q, q) = c;
-      u = g * u;
+      linalg::multiply(g, s.u, s.u_next);  // u = g * u
+      std::swap(s.u, s.u_next);
     }
   }
-  return u;
+}
+
+/// combined_channel_mimo into `out`: ((H_rd F) A) H_sr, then H_sd added.
+void combine(const linalg::Matrix& h_sd, const linalg::Matrix& h_sr,
+             const linalg::Matrix& h_rd, const linalg::Matrix& filter, double amp_linear,
+             MimoScratch& s, linalg::Matrix& out) {
+  linalg::multiply(h_rd, filter, s.rd_f);
+  s.rd_f *= Complex{amp_linear, 0.0};
+  linalg::multiply(s.rd_f, h_sr, s.relay);
+  out = h_sd;
+  out += s.relay;
+}
+
+}  // namespace
+
+linalg::Matrix unitary_from_params(std::span<const double> params, std::size_t k) {
+  MimoScratch s;
+  build_unitary(params, k, s);
+  return std::move(s.u);
 }
 
 linalg::Matrix combined_channel_mimo(const linalg::Matrix& h_sd, const linalg::Matrix& h_sr,
                                      const linalg::Matrix& h_rd, const linalg::Matrix& filter,
                                      double amp_linear) {
-  return h_sd + h_rd * filter * Complex{amp_linear, 0.0} * h_sr;
+  MimoScratch s;
+  linalg::Matrix out;
+  combine(h_sd, h_sr, h_rd, filter, amp_linear, s, out);
+  return out;
 }
 
 CnfMimoResult cnf_mimo_design(const linalg::Matrix& h_sd, const linalg::Matrix& h_sr,
@@ -81,10 +121,11 @@ CnfMimoResult cnf_mimo_design(const linalg::Matrix& h_sd, const linalg::Matrix& 
   FF_CHECK(h_sr.rows() == k);
   FF_CHECK(h_sd.is_square());
 
-  const auto objective = [&](const std::vector<double>& params) {
-    const linalg::Matrix f = unitary_from_params(params, k);
-    const linalg::Matrix h = combined_channel_mimo(h_sd, h_sr, h_rd, f, amp_linear);
-    return -std::abs(linalg::determinant(h));  // minimize the negative
+  MimoScratch s;
+  const opt::Objective objective = [&](const std::vector<double>& params) {
+    build_unitary(params, k, s);
+    combine(h_sd, h_sr, h_rd, s.u, amp_linear, s, s.combined);
+    return -std::abs(linalg::determinant_in_place(s.combined));  // minimize the negative
   };
 
   // Multi-start Nelder-Mead: the objective is non-convex with phase
@@ -116,8 +157,9 @@ CnfMimoResult cnf_mimo_design(const linalg::Matrix& h_sd, const linalg::Matrix& 
   }
 
   CnfMimoResult out;
-  out.filter = unitary_from_params(best.x, k);
-  out.params = best.x;
+  build_unitary(best.x, k, s);
+  out.filter = s.u;
+  out.params = std::move(best.x);
   out.objective = -best.value;
   out.baseline = std::abs(linalg::determinant(h_sd));
   return out;

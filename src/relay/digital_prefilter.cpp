@@ -9,14 +9,6 @@
 
 namespace ff::relay {
 
-namespace {
-
-Complex prefilter_response(CSpan hp, double f_hz, double fs) {
-  return dsp::freq_response(hp, f_hz / fs);
-}
-
-}  // namespace
-
 double CnfSplit::insertion_gain() const {
   if (realized.empty()) return 1.0;
   double acc = 0.0;
@@ -25,6 +17,38 @@ double CnfSplit::insertion_gain() const {
 }
 
 namespace {
+
+/// The design grid's phasor tables, computed once per design call. Each row
+/// holds one grid frequency's entries, and each entry is the expression its
+/// consumer evaluates:
+///  - `analog`: AnalogCnfFilter::tap_phasors, e^{-j 2 pi (fc + f_i) tau_k};
+///  - `fit`: the pre-filter fit's columns, at angle -2 pi * f_i / fs * n;
+///  - `response`: dsp::freq_response_phasor(f_i / fs, n), the pre-filter's
+///    response.
+/// `fit` and `response` associate their products differently and can differ
+/// in the last bit, so both are kept.
+struct GridPhasors {
+  GridPhasors(const AnalogCnfFilter& filter, RSpan f_grid, std::size_t prefilter_taps,
+              double fs)
+      : points(f_grid.size()), taps(prefilter_taps), analog(filter.tap_phasors(f_grid)),
+        fit(points * taps), response(points * taps) {
+    for (std::size_t i = 0; i < points; ++i) {
+      for (std::size_t n = 0; n < taps; ++n) {
+        const double ang = -kTwoPi * f_grid[i] / fs * static_cast<double>(n);
+        fit[i * taps + n] = Complex{std::cos(ang), std::sin(ang)};
+        response[i * taps + n] = dsp::freq_response_phasor(f_grid[i] / fs, n);
+      }
+    }
+  }
+
+  /// Pre-filter response at grid frequency i.
+  Complex prefilter_response(CSpan hp, std::size_t i) const {
+    return dsp::freq_response(hp, CSpan{response}.subspan(i * taps, taps));
+  }
+
+  std::size_t points, taps;
+  CVec analog, fit, response;
+};
 
 double split_error_db(CSpan h_c, CSpan realized) {
   double err = 0.0, ref = 0.0;
@@ -44,20 +68,17 @@ double split_error_db(CSpan h_c, CSpan realized) {
 /// taps cannot realize (e.g. a steep delay ramp) otherwise runs the gains to
 /// +60 dB with near-cancelling signs — blowing fixed-point dynamic range and
 /// amplifying out-of-band receiver noise into the transmit chain.
-CVec fit_prefilter(CSpan h_c, RSpan f_grid, const CVec& analog_resp, std::size_t taps,
-                   double fs) {
-  linalg::Matrix a(f_grid.size(), taps), b(f_grid.size(), 1);
-  for (std::size_t i = 0; i < f_grid.size(); ++i) {
-    for (std::size_t n = 0; n < taps; ++n) {
-      const double ang = -kTwoPi * f_grid[i] / fs * static_cast<double>(n);
-      a(i, n) = analog_resp[i] * Complex{std::cos(ang), std::sin(ang)};
-    }
+CVec fit_prefilter(CSpan h_c, CSpan analog_resp, const GridPhasors& grid) {
+  const std::size_t taps = grid.taps;
+  linalg::Matrix a(h_c.size(), taps), b(h_c.size(), 1);
+  for (std::size_t i = 0; i < h_c.size(); ++i) {
+    for (std::size_t n = 0; n < taps; ++n) a(i, n) = analog_resp[i] * grid.fit[i * taps + n];
     b(i, 0) = h_c[i];
   }
   // Ridge sized for ~20 dB of out-of-band gain headroom: enough for the
   // in-band phase-advance trajectories the 4x-oversampled prototype needs,
   // while keeping tap energy inside fixed-point dynamic range.
-  const double ridge = 0.002 * static_cast<double>(f_grid.size());
+  const double ridge = 0.002 * static_cast<double>(h_c.size());
   const linalg::Matrix x = linalg::least_squares(a, b, ridge);
   CVec hp(taps);
   for (std::size_t n = 0; n < taps; ++n) hp[n] = x(n, 0);
@@ -67,10 +88,10 @@ CVec fit_prefilter(CSpan h_c, RSpan f_grid, const CVec& analog_resp, std::size_t
 /// Remove the scale degeneracy of the (Ha, Hp) product: normalize the
 /// pre-filter to unit mean in-band magnitude and return the scale so the
 /// analog stage can absorb it (its attenuators own the magnitude).
-double normalize_prefilter(CVec& hp, RSpan f_grid, double fs) {
+double normalize_prefilter(CVec& hp, const GridPhasors& grid) {
   double acc = 0.0;
-  for (const double f : f_grid) acc += std::abs(dsp::freq_response(hp, f / fs));
-  const double scale = acc / static_cast<double>(f_grid.size());
+  for (std::size_t i = 0; i < grid.points; ++i) acc += std::abs(grid.prefilter_response(hp, i));
+  const double scale = acc / static_cast<double>(grid.points);
   if (scale < 1e-12) return 1.0;
   for (auto& t : hp) t /= scale;
   return scale;
@@ -84,6 +105,8 @@ CnfSplit design_cnf_split(CSpan h_c, RSpan f_grid_hz, const CnfSplitConfig& cfg)
 
   CnfSplit out;
   out.analog = AnalogCnfFilter(cfg.analog);
+  const GridPhasors grid(out.analog, f_grid_hz, cfg.prefilter_taps, cfg.sample_rate_hz);
+  CVec aresp(h_c.size());
 
   // Initialize the analog rotator at the circular-mean phase of H_c so the
   // pre-filter starts near unity (keeping its gains well-conditioned).
@@ -96,10 +119,9 @@ CnfSplit design_cnf_split(CSpan h_c, RSpan f_grid_hz, const CnfSplitConfig& cfg)
   for (int it = 0; it < cfg.iterations; ++it) {
     // hp step: linear least squares given the analog response, then push the
     // magnitude into the analog stage (its attenuators own the scale).
-    const CVec aresp = out.analog.response(f_grid_hz);
-    out.prefilter = fit_prefilter(h_c, f_grid_hz, aresp, cfg.prefilter_taps,
-                                  cfg.sample_rate_hz);
-    const double scale = normalize_prefilter(out.prefilter, f_grid_hz, cfg.sample_rate_hz);
+    out.analog.response(grid.analog, aresp);
+    out.prefilter = fit_prefilter(h_c, aresp, grid);
+    const double scale = normalize_prefilter(out.prefilter, grid);
 
     // analog step: 1-D projection of the residual rotation given hp, with
     // the hp scale folded in and the magnitude clamped to the attenuators'
@@ -107,7 +129,7 @@ CnfSplit design_cnf_split(CSpan h_c, RSpan f_grid_hz, const CnfSplitConfig& cfg)
     Complex num{0.0, 0.0};
     double den = 0.0;
     for (std::size_t i = 0; i < h_c.size(); ++i) {
-      const Complex hp = prefilter_response(out.prefilter, f_grid_hz[i], cfg.sample_rate_hz);
+      const Complex hp = grid.prefilter_response(out.prefilter, i);
       num += std::conj(hp) * h_c[i];
       den += std::norm(hp);
     }
@@ -122,13 +144,11 @@ CnfSplit design_cnf_split(CSpan h_c, RSpan f_grid_hz, const CnfSplitConfig& cfg)
   }
 
   // Final hp refit against the final analog setting, then score.
-  const CVec aresp = out.analog.response(f_grid_hz);
-  out.prefilter = fit_prefilter(h_c, f_grid_hz, aresp, cfg.prefilter_taps,
-                                cfg.sample_rate_hz);
+  out.analog.response(grid.analog, aresp);
+  out.prefilter = fit_prefilter(h_c, aresp, grid);
   out.realized.resize(h_c.size());
   for (std::size_t i = 0; i < h_c.size(); ++i)
-    out.realized[i] =
-        aresp[i] * prefilter_response(out.prefilter, f_grid_hz[i], cfg.sample_rate_hz);
+    out.realized[i] = aresp[i] * grid.prefilter_response(out.prefilter, i);
   out.error_db = split_error_db(h_c, out.realized);
   return out;
 }
@@ -142,7 +162,8 @@ CnfSplit design_analog_only(CSpan h_c, RSpan f_grid_hz, const CnfSplitConfig& cf
   mean /= static_cast<double>(h_c.size());
   if (std::abs(mean) > 1e-20) out.analog.tune(mean);
   out.prefilter = {Complex{1.0, 0.0}};
-  out.realized = out.analog.response(f_grid_hz);
+  out.realized.resize(h_c.size());
+  out.analog.response(out.analog.tap_phasors(f_grid_hz), out.realized);
   out.error_db = split_error_db(h_c, out.realized);
   return out;
 }
@@ -154,13 +175,13 @@ CnfSplit design_digital_only(CSpan h_c, RSpan f_grid_hz, const CnfSplitConfig& c
   AnalogCnfConfig acfg = cfg.analog;
   out.analog = AnalogCnfFilter(acfg);
   out.analog.tune(Complex{1.0, 0.0});
-  const CVec aresp = out.analog.response(f_grid_hz);
-  out.prefilter = fit_prefilter(h_c, f_grid_hz, aresp, cfg.prefilter_taps,
-                                cfg.sample_rate_hz);
+  const GridPhasors grid(out.analog, f_grid_hz, cfg.prefilter_taps, cfg.sample_rate_hz);
+  CVec aresp(h_c.size());
+  out.analog.response(grid.analog, aresp);
+  out.prefilter = fit_prefilter(h_c, aresp, grid);
   out.realized.resize(h_c.size());
   for (std::size_t i = 0; i < h_c.size(); ++i)
-    out.realized[i] =
-        aresp[i] * prefilter_response(out.prefilter, f_grid_hz[i], cfg.sample_rate_hz);
+    out.realized[i] = aresp[i] * grid.prefilter_response(out.prefilter, i);
   out.error_db = split_error_db(h_c, out.realized);
   return out;
 }

@@ -12,9 +12,10 @@
 //     sanctioned checksum change, docs/PERFORMANCE.md).
 //  3. Zero steady-state heap allocation in the streaming hot paths
 //     (ForwardPipeline::process_into, CancellerElement::cancel_into,
-//     ChannelElement's block path) and in recording telemetry (a stream's
-//     per-block metrics, a timer's observations), asserted with a global
-//     operator-new hook.
+//     ChannelElement's block path), in recording telemetry (a stream's
+//     per-block metrics, a timer's observations) and in the relay design's
+//     inner loops (a Nelder-Mead iteration, a CNF objective evaluation),
+//     asserted with a global operator-new hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +35,9 @@
 #include "dsp/fir.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/kernels/workspace.hpp"
+#include "linalg/matrix.hpp"
+#include "opt/optimizers.hpp"
+#include "relay/cnf_design.hpp"
 #include "relay/pipeline.hpp"
 #include "stream/elements.hpp"
 #include "stream/graph.hpp"
@@ -728,6 +732,57 @@ TEST(ZeroAllocation, TimerObservationsAllocateNothingAfterTheFirst) {
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.timers.size(), 1u);
   EXPECT_EQ(snap.timers[0].count, 100001u);
+}
+
+/// Heap allocations one Nelder-Mead run makes on a 4-D quadratic bowl when
+/// held to exactly `iterations` iterations (a negative tolerance never
+/// stops it early).
+std::uint64_t nelder_mead_allocs(std::size_t iterations) {
+  const opt::Objective bowl = [](const std::vector<double>& x) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double d = x[i] - static_cast<double>(i);
+      acc += d * d;
+    }
+    return acc;
+  };
+  opt::NelderMeadOptions opts;
+  opts.max_iterations = iterations;
+  opts.tolerance = -1.0;
+  const std::vector<double> x0(4, 0.5);
+  const std::uint64_t before = alloc_count();
+  const opt::OptResult r = opt::nelder_mead(bowl, x0, opts);
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_EQ(r.iterations, iterations);
+  return allocs;
+}
+
+TEST(ZeroAllocation, NelderMeadIterationsAllocateNothing) {
+  const std::uint64_t short_run = nelder_mead_allocs(10);
+  const std::uint64_t long_run = nelder_mead_allocs(1000);
+  EXPECT_EQ(long_run, short_run) << "990 more Nelder-Mead iterations allocated "
+                                 << long_run - short_run << " times";
+}
+
+TEST(ZeroAllocation, CnfMimoObjectiveAllocatesNothingPerEvaluation) {
+  // BM_CnfMimoDesignPerSubcarrier's channel, warm-started at its own cold
+  // solution: a run of 204 objective evaluations. What it allocates is
+  // set-up (the reused matrices, the simplex, the result), so it stays far
+  // below one allocation per evaluation.
+  Rng rng(6);
+  linalg::Matrix h_sd(2, 2), h_sr(2, 2), h_rd(2, 2);
+  for (std::size_t i = 0; i < 2; ++i)
+    for (std::size_t j = 0; j < 2; ++j) {
+      h_sd(i, j) = rng.cgaussian();
+      h_sr(i, j) = rng.cgaussian();
+      h_rd(i, j) = rng.cgaussian();
+    }
+  const relay::CnfMimoResult cold = relay::cnf_mimo_design(h_sd, h_sr, h_rd, 1.0);
+  const std::uint64_t before = alloc_count();
+  const relay::CnfMimoResult warm = relay::cnf_mimo_design(h_sd, h_sr, h_rd, 1.0, &cold.params);
+  const std::uint64_t allocs = alloc_count() - before;
+  EXPECT_LT(allocs, 64u) << "a warm CNF design allocated " << allocs << " times";
+  EXPECT_GE(warm.objective, cold.objective * (1.0 - 1e-9));
 }
 
 TEST(Workspace, GrowsAreCountedAndStopInSteadyState) {

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <initializer_list>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "linalg/matrix.hpp"
 
 namespace ff {
@@ -19,6 +22,11 @@ Matrix random_matrix(Rng& rng, std::size_t r, std::size_t c) {
 }
 
 double mat_dist(const Matrix& a, const Matrix& b) { return (a - b).frobenius(); }
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(Complex)) == 0;
+}
 
 TEST(Matrix, BasicArithmetic) {
   const Matrix a{{Complex{1, 0}, Complex{2, 0}}, {Complex{3, 0}, Complex{4, 0}}};
@@ -74,6 +82,23 @@ TEST(Matrix, Determinant2x2Formula) {
   EXPECT_NEAR(std::abs(linalg::determinant(a) - expect), 0.0, 1e-12);
 }
 
+TEST(Matrix, InPlaceFormsEqualTheirWrappers) {
+  Rng rng(205);
+  const Matrix a = random_matrix(rng, 3, 4);
+  Matrix b = random_matrix(rng, 4, 2);
+  b(1, 0) = Complex{};  // exercise the zero skip on the left operand too
+  Matrix out = random_matrix(rng, 5, 5);  // stale shape and contents
+  linalg::multiply(a, b, out);
+  EXPECT_TRUE(same_bits(out, a * b));
+  const Matrix sq = random_matrix(rng, 4, 4);
+  Matrix lu = sq;
+  const Complex in_place = linalg::determinant_in_place(lu);
+  const Complex wrapped = linalg::determinant(sq);
+  EXPECT_EQ(std::memcmp(&in_place, &wrapped, sizeof(Complex)), 0);
+  Matrix c = b;
+  EXPECT_THROW(linalg::multiply(a, c, c), std::logic_error);  // out aliases an operand
+}
+
 TEST(Matrix, SingularMatrixHasZeroDeterminant) {
   Matrix a(2, 2);
   a(0, 0) = {1, 0};
@@ -112,21 +137,6 @@ TEST(LeastSquares, RidgeShrinksSolution) {
   EXPECT_LT(x1.frobenius(), x0.frobenius());
 }
 
-TEST(Svd, ReconstructsMatrix) {
-  Rng rng(401);
-  for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{4, 4}, {6, 3}, {5, 2}}) {
-    const Matrix a = random_matrix(rng, r, c);
-    const auto s = linalg::svd(a);
-    Matrix rec(r, c);
-    for (std::size_t k = 0; k < s.sigma.size(); ++k) {
-      for (std::size_t i = 0; i < r; ++i)
-        for (std::size_t j = 0; j < c; ++j)
-          rec(i, j) += s.u(i, k) * s.sigma[k] * std::conj(s.v(j, k));
-    }
-    EXPECT_NEAR(mat_dist(rec, a), 0.0, 1e-8) << r << "x" << c;
-  }
-}
-
 TEST(Svd, SingularValuesAreSortedNonNegative) {
   Rng rng(402);
   const Matrix a = random_matrix(rng, 5, 5);
@@ -157,72 +167,51 @@ TEST(Svd, RankOneOuterProduct) {
 }
 
 TEST(Svd, UnitaryHasUnitSingularValues) {
-  // Build a unitary from a random matrix via Gram-Schmidt-ish: use SVD.
-  Rng rng(405);
-  const Matrix a = random_matrix(rng, 3, 3);
-  const auto s = linalg::svd(a);
-  const Matrix q = s.u * s.v.adjoint();
-  for (const double sv : linalg::singular_values(q)) EXPECT_NEAR(sv, 1.0, 1e-8);
+  // The normalized 3x3 DFT matrix, F(j, k) = e^{-j 2 pi jk / 3} / sqrt(3).
+  Matrix q(3, 3);
+  for (std::size_t j = 0; j < 3; ++j)
+    for (std::size_t k = 0; k < 3; ++k)
+      q(j, k) = std::polar(1.0 / std::sqrt(3.0), -kTwoPi * static_cast<double>(j * k) / 3.0);
+  for (const double sv : linalg::singular_values(q)) EXPECT_NEAR(sv, 1.0, 1e-12);
 }
 
-TEST(Eigen, HermitianDecompositionReconstructs) {
-  Rng rng(501);
-  const Matrix m = random_matrix(rng, 4, 4);
-  const Matrix h = m + m.adjoint();  // Hermitian
-  const auto e = linalg::hermitian_eigen(h);
-  Matrix rec(4, 4);
-  for (std::size_t k = 0; k < 4; ++k)
-    for (std::size_t i = 0; i < 4; ++i)
-      for (std::size_t j = 0; j < 4; ++j)
-        rec(i, j) += e.values[k] * e.vectors(i, k) * std::conj(e.vectors(j, k));
-  EXPECT_NEAR(mat_dist(rec, h), 0.0, 1e-8);
-  // Ascending order.
-  for (std::size_t i = 0; i + 1 < 4; ++i) EXPECT_LE(e.values[i], e.values[i + 1]);
+void expect_bits(const std::vector<double>& got, std::initializer_list<double> want,
+                 const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), std::data(want), got.size() * sizeof(double)), 0)
+      << what << ": sigma[0] = " << got[0];
 }
 
-TEST(Capacity, MimoCapacityIncreasesWithSnr) {
-  Rng rng(601);
-  const Matrix h = random_matrix(rng, 2, 2);
-  const double c1 = linalg::mimo_capacity(h, 1.0);
-  const double c2 = linalg::mimo_capacity(h, 100.0);
-  EXPECT_GT(c2, c1);
-}
+TEST(Linalg, SingularValuesPinnedBitForBit) {
+  // Recorded as hex floats from the Jacobi loop that also rotated V beside
+  // W: V never feeds back into W, so rotating W alone keeps every bit.
+  Rng rng(406);
+  const Matrix m11 = random_matrix(rng, 1, 1);
+  const Matrix m22 = random_matrix(rng, 2, 2);
+  const Matrix m23 = random_matrix(rng, 2, 3);
+  const Matrix m32 = random_matrix(rng, 3, 2);
+  const Matrix m44 = random_matrix(rng, 4, 4);
+  const Matrix u = random_matrix(rng, 3, 1);
+  const Matrix v = random_matrix(rng, 3, 1);
+  const Matrix rank_one = u * v.adjoint();
+  Matrix zero_col = random_matrix(rng, 3, 3);
+  for (std::size_t i = 0; i < 3; ++i) zero_col(i, 1) = Complex{};
 
-TEST(Capacity, RankOneChannelGainsLittleFromSecondStream) {
-  Rng rng(602);
-  const Matrix u = random_matrix(rng, 2, 1);
-  const Matrix v = random_matrix(rng, 2, 1);
-  const Matrix keyhole = u * v.adjoint();
-  const Matrix full = random_matrix(rng, 2, 2);
-  // Normalize to the same Frobenius norm for a fair comparison.
-  const Matrix kn = keyhole * Complex{1.0 / keyhole.frobenius(), 0.0};
-  const Matrix fn = full * Complex{1.0 / full.frobenius(), 0.0};
-  const double snr = 1000.0;
-  // The full-rank channel carries two streams; keyhole carries one.
-  EXPECT_GT(linalg::mimo_capacity(fn, snr), 1.2 * linalg::mimo_capacity(kn, snr) - 2.0);
-}
-
-TEST(WaterFill, ConservesPowerAndPrefersStrongChannels) {
-  const std::vector<double> gains{10.0, 1.0, 0.1};
-  const auto p = linalg::water_fill(gains, 3.0);
-  double total = 0.0;
-  for (const double v : p) total += v;
-  EXPECT_NEAR(total, 3.0, 1e-9);
-  EXPECT_GE(p[0], p[1]);
-  EXPECT_GE(p[1], p[2]);
-}
-
-TEST(WaterFill, DropsHopelessChannels) {
-  const std::vector<double> gains{100.0, 1e-6};
-  const auto p = linalg::water_fill(gains, 0.5);
-  EXPECT_NEAR(p[0], 0.5, 1e-9);
-  EXPECT_NEAR(p[1], 0.0, 1e-12);
-}
-
-TEST(WaterFill, EqualGainsSplitEqually) {
-  const std::vector<double> gains{2.0, 2.0, 2.0, 2.0};
-  const auto p = linalg::water_fill(gains, 8.0);
-  for (const double v : p) EXPECT_NEAR(v, 2.0, 1e-9);
+  expect_bits(linalg::singular_values(m11), {0x1.db2e9190f8a9dp-1}, "1x1");
+  expect_bits(linalg::singular_values(m22), {0x1.f0193d059fd07p+0, 0x1.67dc2bd58e904p-1},
+              "2x2");
+  expect_bits(linalg::singular_values(m23),
+              {0x1.917cc7b62a934p+1, 0x1.5ba832caa50a6p+0, 0x1.5030d65c89d46p-173}, "2x3");
+  expect_bits(linalg::singular_values(m32), {0x1.99201805149cfp+0, 0x1.b5086f5c9eff5p-1},
+              "3x2");
+  expect_bits(linalg::singular_values(m44),
+              {0x1.b3cedd3ac7e6ep+1, 0x1.eebd85fbb70ebp+0, 0x1.7019830918daap-1,
+               0x1.96a9170498d45p-3},
+              "4x4");
+  expect_bits(linalg::singular_values(rank_one),
+              {0x1.495d676dc63a1p+1, 0x1.9ad2946d034dcp-53, 0x1.8a1b73ab25869p-55}, "rank one");
+  expect_bits(linalg::singular_values(zero_col), {0x1.680550c7003dap+0, 0x1.56f5ae218bc82p-1, 0.0},
+              "zero column");
 }
 
 }  // namespace

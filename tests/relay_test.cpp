@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "channel/multipath.hpp"
 #include "common/rng.hpp"
@@ -27,6 +29,25 @@ CVec random_unit_responses(Rng& rng, std::size_t n) {
   for (auto& v : out) v = rng.unit_phasor() * rng.uniform(0.5, 1.5);
   return out;
 }
+
+linalg::Matrix random_square(Rng& rng, std::size_t k) {
+  linalg::Matrix m(k, k);
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = 0; j < k; ++j) m(i, j) = rng.cgaussian();
+  return m;
+}
+
+bool same_bits(CSpan a, CSpan b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() && same_bits(a.data(), b.data());
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_bits(Complex a, Complex b) { return std::memcmp(&a, &b, sizeof(Complex)) == 0; }
 
 // ---------------------------------------------------------- SISO CNF
 
@@ -153,6 +174,63 @@ TEST(CnfMimo, WarmStartMatchesColdQuality) {
   EXPECT_GE(warm.objective, 0.97 * cold2.objective);
 }
 
+/// unitary_from_params written out with Matrix operators: a fresh identity
+/// G per Givens rotation, then u = G * u.
+linalg::Matrix unitary_reference(const std::vector<double>& params, std::size_t k) {
+  std::size_t idx = 0;
+  linalg::Matrix u(k, k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double phi = params[idx++];
+    u(i, i) = Complex{std::cos(phi), std::sin(phi)};
+  }
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t q = p + 1; q < k; ++q) {
+      const double theta = params[idx++];
+      const double phi = params[idx++];
+      linalg::Matrix g = linalg::Matrix::identity(k);
+      const double c = std::cos(theta), s = std::sin(theta);
+      const Complex e{std::cos(phi), std::sin(phi)};
+      g(p, p) = c;
+      g(p, q) = -s * std::conj(e);
+      g(q, p) = s * e;
+      g(q, q) = c;
+      u = g * u;
+    }
+  }
+  return u;
+}
+
+TEST(CnfMimo, ObjectiveMatchesPublicFormulaBitForBit) {
+  // The design evaluates its objective in storage it reuses; the value it
+  // reports must equal, bit for bit, |det| of the public combined channel at
+  // the reported filter, and of the same formula written with operators.
+  Rng rng(9);
+  const double a = 0.9;
+  for (const std::size_t k : {1u, 2u, 3u, 4u}) {
+    const linalg::Matrix h_sd = random_square(rng, k);
+    const linalg::Matrix h_sr = random_square(rng, k);
+    const linalg::Matrix h_rd = random_square(rng, k);
+    linalg::Matrix h_sd_next = h_sd;  // the adjacent subcarrier
+    h_sd_next(0, 0) += Complex{0.01, 0.01};
+    const auto cold = relay::cnf_mimo_design(h_sd, h_sr, h_rd, a);
+    const auto warm = relay::cnf_mimo_design(h_sd_next, h_sr, h_rd, a, &cold.params);
+    const auto check = [&](const relay::CnfMimoResult& r, const linalg::Matrix& sd,
+                           const char* what) {
+      const double via_public = std::abs(
+          linalg::determinant(relay::combined_channel_mimo(sd, h_sr, h_rd, r.filter, a)));
+      const double via_operators =
+          std::abs(linalg::determinant(sd + h_rd * r.filter * Complex{a, 0.0} * h_sr));
+      EXPECT_TRUE(same_bits(r.objective, via_public)) << "k=" << k << " " << what;
+      EXPECT_TRUE(same_bits(r.objective, via_operators)) << "k=" << k << " " << what;
+      EXPECT_TRUE(same_bits(r.filter, relay::unitary_from_params(r.params, k)))
+          << "k=" << k << " " << what;
+      EXPECT_TRUE(same_bits(r.filter, unitary_reference(r.params, k))) << "k=" << k << " " << what;
+    };
+    check(cold, h_sd, "cold");
+    check(warm, h_sd_next, "warm");
+  }
+}
+
 // ---------------------------------------------------------- analog CNF
 
 class AnalogRotations : public ::testing::TestWithParam<double> {};
@@ -258,6 +336,100 @@ TEST(CnfSplit, ChainDelayToleranceMatchesOversampling) {
   const auto good = relay::design_cnf_split(target, freqs, oversampled);
   const auto bad = relay::design_cnf_split(target, freqs, critical);
   EXPECT_LT(good.error_db, bad.error_db - 3.0);
+}
+
+/// A frequency-selective target: a 40 ns delay ramp, a sinusoidal phase and
+/// a magnitude ripple, so the split's fit, normalisation, projection and
+/// attenuator clamps all act on it.
+CVec selective_target(const std::vector<double>& freqs) {
+  CVec t(freqs.size());
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    const double phase =
+        kTwoPi * freqs[i] * 40e-9 + 0.9 * std::sin(kTwoPi * freqs[i] / 15e6) + 0.3;
+    const double mag = 0.8 + 0.2 * std::cos(kTwoPi * freqs[i] / 9e6);
+    t[i] = std::polar(mag, phase);
+  }
+  return t;
+}
+
+void expect_split_pinned(const relay::CnfSplit& split, const CVec& prefilter,
+                         const std::vector<double>& gains, double error_db) {
+  EXPECT_TRUE(same_bits(split.prefilter, prefilter)) << "prefilter taps";
+  ASSERT_EQ(split.analog.gains().size(), gains.size());
+  for (std::size_t k = 0; k < gains.size(); ++k)
+    EXPECT_TRUE(same_bits(split.analog.gains()[k], gains[k])) << "analog gain " << k;
+  EXPECT_TRUE(same_bits(split.error_db, error_db)) << "error_db " << split.error_db;
+}
+
+TEST(CnfSplit, OutputPinnedBitForBit) {
+  // Recorded as hex floats when every response sweep of the split computed
+  // its own phasors; the per-call phasor tables must keep every bit.
+  // The 2x2 testbed's 56-subcarrier grid at the default 80 Msps:
+  const auto freqs = phy::OfdmParams{}.used_subcarrier_freqs();
+  ASSERT_EQ(freqs.size(), 56u);
+  const auto split = relay::design_cnf_split(selective_target(freqs), freqs);
+  expect_split_pinned(
+      split,
+      {{-0x1.ecdedbb73e9e4p-5, -0x1.8ba4d8a2ea658p+1},
+       {0x1.a38799fadb79ep-5, 0x1.4888207f0e06ap+1},
+       {0x1.4f7088492ed27p-5, 0x1.0ded8fed6332p+1},
+       {-0x1.2466288d3c6e2p-5, -0x1.c64df8c49fc51p+0}},
+      {0x0p+0, 0x0p+0, 0x1.e6cf7dbce77cp-4, 0x1.0819d7c3132edp-1}, -0x1.21998a9f998f9p+2);
+  const CVec realized = {
+      {0x1.2057358225c78p-2, -0x1.1a98c471e00f2p+0}, {0x1.fbd3cc436e172p-3, -0x1.0ad3b31359c0ap+0},
+      {0x1.beb48cb5d0dc2p-3, -0x1.f65184c85f1acp-1}, {0x1.89062f1a8ab04p-3, -0x1.d751250acbf14p-1},
+      {0x1.5a74efcc788eep-3, -0x1.b8c5804127773p-1}, {0x1.32a47e9c40cc4p-3, -0x1.9acb9f11c8618p-1},
+      {0x1.1130c4635c59p-3, -0x1.7d7e3393d2257p-1}, {0x1.eb5d66288c451p-4, -0x1.60f5777ce43ep-1},
+      {0x1.bf5a3dfabea69p-4, -0x1.45470e8d147efp-1}, {0x1.9d6b3fcedbebcp-4, -0x1.2a85ed610584cp-1},
+      {0x1.849af15bd8886p-4, -0x1.10c244cb450dap-1}, {0x1.73ed07cd7221ep-4, -0x1.f012e39e96d9ap-2},
+      {0x1.6a60485050b7p-4, -0x1.c0cbe4a2fe5ccp-2}, {0x1.66f06ceffe9dcp-4, -0x1.93bebd112108bp-2},
+      {0x1.68980ad72e663p-4, -0x1.68f4ce6ac2b36p-2}, {0x1.6e52770271b73p-4, -0x1.4071b13f16c3ap-2},
+      {0x1.771da6797d2eep-4, -0x1.1a33449aee825p-2}, {0x1.81fc072b53374p-4, -0x1.ec638d9fa5e6bp-3},
+      {0x1.8df64e962691ep-4, -0x1.a8bfeec7d4b45p-3}, {0x1.9a1d3b746122cp-4, -0x1.695683ddd0596p-3},
+      {0x1.a58b47bce4e3ap-4, -0x1.2df7e33600afap-3}, {0x1.af66485d3415ep-4, -0x1.ecd5b3cffd86ap-4},
+      {0x1.b6e0f8308e8dep-4, -0x1.84d9e6894b6bp-4}, {0x1.bb3c6bd713fp-4, -0x1.23661e9028a43p-4},
+      {0x1.bbc96c336d48dp-4, -0x1.8fa81c55c22ep-5}, {0x1.b7e9b57c3124ap-4, -0x1.c5baf3ab3587fp-6},
+      {0x1.af1118f7eb564p-4, -0x1.f74027a1901e4p-8}, {0x1.a0c67fa7302c9p-4, 0x1.774f48edff3ecp-7},
+      {0x1.725b9b88550ep-4, 0x1.886d5b50fdc3ap-5}, {0x1.51afe0a87630cp-4, 0x1.0cec27b9188cep-4},
+      {0x1.2a7c5e93ac7c1p-4, 0x1.558e8746d5196p-4}, {0x1.f963f76e11698p-5, 0x1.9f0c015bb1c48p-4},
+      {0x1.90afe14cc831ap-5, 0x1.ea53d7360e10dp-4}, {0x1.1b17a21ef6e6dp-5, 0x1.1c2a3cf97fa93p-3},
+      {0x1.3205bbb3efa16p-6, 0x1.44fcd75d2c3bfp-3}, {0x1.60a6073fcaep-10, 0x1.70155b2b099e5p-3},
+      {-0x1.1c454523ac22cp-6, 0x1.9de43d8d0a7e8p-3}, {-0x1.318bc693d4dbbp-5, 0x1.ced5e3fc2a694p-3},
+      {-0x1.de24b87d78adfp-5, 0x1.01a8e2e40fd9ep-2}, {-0x1.495a75e994ca3p-4, 0x1.1ddcca7dba6aap-2},
+      {-0x1.a6ef5a349f889p-4, 0x1.3c3437f813c14p-2}, {-0x1.03885c17e3932p-3, 0x1.5cd90e6e260e5p-2},
+      {-0x1.3476fbd9bcd92p-3, 0x1.7ff12847d8836p-2}, {-0x1.65d3c4efc185cp-3, 0x1.a59e00c595da6p-2},
+      {-0x1.97282a4084c39p-3, 0x1.cdfc6444183f4p-2}, {-0x1.c7f79b20c027ap-3, 0x1.f92427b9d7ef2p-2},
+      {-0x1.f7c050ad1d1d8p-3, 0x1.1393f3f283139p-1}, {-0x1.12fe129959591p-2, 0x1.2c0a684adc611p-1},
+      {-0x1.2910ba3174024p-2, 0x1.45f9363a022e7p-1}, {-0x1.3dd20180c5e85p-2, 0x1.61613ecaa616fp-1},
+      {-0x1.50faf657fd2f8p-2, 0x1.7e406f938ccb7p-1}, {-0x1.62444b3716ffp-2, 0x1.9c91b83436622p-1},
+      {-0x1.7166d2315155ep-2, 0x1.bc4d048e5f31ap-1}, {-0x1.7e1bf8ba0b64ap-2, 0x1.dd673bcaf629bp-1},
+      {-0x1.881e439e392a5p-2, 0x1.ffd244320e508p-1}, {-0x1.8f29ca6d40e95p-2, 0x1.11be85eb15bfp+0},
+  };
+  EXPECT_TRUE(same_bits(split.realized, realized)) << "realized response";
+
+  // lte_test's grid: the 300 used LTE-5 tones at 4x its 7.68 Msps rate. The
+  // realized response is pinned by the FNV-1a hash of its bytes and by its
+  // first and last entries.
+  const auto lte = phy::OfdmParams::lte5();
+  const auto lte_freqs = lte.used_subcarrier_freqs();
+  relay::CnfSplitConfig lte_cfg;
+  lte_cfg.sample_rate_hz = 4.0 * lte.sample_rate_hz;
+  const auto lte_split = relay::design_cnf_split(selective_target(lte_freqs), lte_freqs, lte_cfg);
+  expect_split_pinned(
+      lte_split,
+      {{0x1.b10fa5aae153ep+1, -0x1.cda5051826925p-7},
+       {-0x1.e161d0856a4bp+0, 0x1.b374d6553718ep-8},
+       {-0x1.122f6c3b1307dp+1, 0x1.05765e02df6d5p-7},
+       {0x1.7a3a288488a91p+0, -0x1.46e0fd6578332p-8}},
+      {0x1.bb5fad00ab22cp-1, 0x0p+0, 0x0p+0, 0x1.10754f9e31838p-2}, -0x1.6c0545d3c6671p+3);
+  ASSERT_EQ(lte_split.realized.size(), 300u);
+  EXPECT_TRUE(same_bits(lte_split.realized.front(),
+                        Complex{0x1.b70edd8d7a7cep-1, -0x1.7a6692e084de4p-1}));
+  EXPECT_TRUE(same_bits(lte_split.realized.back(),
+                        Complex{0x1.2874f15519d3bp-2, 0x1.1854fd30634d5p+0}));
+  const std::string_view bytes(reinterpret_cast<const char*>(lte_split.realized.data()),
+                               lte_split.realized.size() * sizeof(Complex));
+  EXPECT_EQ(fnv1a_64(bytes), 0x441ad4f5ac60c4c8ull);
 }
 
 // ---------------------------------------------------------- amplification
