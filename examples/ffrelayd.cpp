@@ -26,7 +26,8 @@ namespace {
 ff::serve::RelayDaemon* g_daemon = nullptr;
 
 extern "C" void handle_signal(int) {
-  // request_stop is one relaxed atomic store: async-signal-safe.
+  // request_stop is a relaxed atomic store plus one write(2) to a
+  // non-blocking pipe: async-signal-safe.
   if (g_daemon) g_daemon->request_stop();
 }
 

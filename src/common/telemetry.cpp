@@ -152,6 +152,72 @@ struct MetricsRegistry::Shard {
   NameMap<double> gauges;  // last set value
   NameMap<std::vector<double>> histograms;
   NameMap<TimerHistogram> timers;
+
+  /// Moves `from`'s records in by snapshot()'s rules: counters sum, gauges
+  /// keep the maximum, histogram samples concatenate, timer buckets add.
+  void fold(Shard& from) {
+    absorb(counters, from.counters, [](std::uint64_t& a, std::uint64_t b) { a += b; });
+    absorb(gauges, from.gauges, [](double& a, double b) { a = std::max(a, b); });
+    absorb(histograms, from.histograms,
+           [](std::vector<double>& a, const std::vector<double>& b) {
+             a.insert(a.end(), b.begin(), b.end());
+           });
+    absorb(timers, from.timers,
+           [](TimerHistogram& a, const TimerHistogram& b) { a.merge(b); });
+  }
+
+ private:
+  /// A name new to `into` moves its node over, so it is never allocated
+  /// twice; a known name merges.
+  template <typename T, typename Merge>
+  static void absorb(NameMap<T>& into, NameMap<T>& from, Merge merge) {
+    while (!from.empty()) {
+      auto node = from.extract(from.begin());
+      const auto it = into.find(node.key());
+      if (it == into.end())
+        into.insert(std::move(node));
+      else
+        merge(it->second, node.mapped());
+    }
+  }
+};
+
+struct MetricsRegistry::Shards {
+  mutable std::mutex mu;
+  // list.front() is the retired shard: what threads that have exited
+  // recorded. No thread writes it outside retire(), which holds mu.
+  std::vector<std::unique_ptr<Shard>> list;
+
+  Shards() { list.push_back(std::make_unique<Shard>()); }
+
+  /// Folds an exiting thread's shard into the retired one and frees it.
+  void retire(const Shard* shard) {
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = std::find_if(list.begin() + 1, list.end(),
+                                 [shard](const auto& s) { return s.get() == shard; });
+    if (it == list.end()) return;
+    list.front()->fold(**it);
+    list.erase(it);
+  }
+};
+
+/// Per-thread shard cache keyed by process-unique registry id, so a thread
+/// finds its shard without touching the registry mutex after first use.
+/// Ids are never reused, so an entry for a destroyed registry is simply
+/// never looked up again. Each entry holds its registry's shard list
+/// weakly: at thread exit the destructor retires the shards of every
+/// registry still alive and skips the rest.
+struct MetricsRegistry::ThreadShards {
+  struct Entry {
+    std::weak_ptr<Shards> owner;
+    Shard* shard = nullptr;
+  };
+  std::unordered_map<std::uint64_t, Entry> by_registry;
+
+  ~ThreadShards() {
+    for (const auto& [id, entry] : by_registry)
+      if (const std::shared_ptr<Shards> owner = entry.owner.lock()) owner->retire(entry.shard);
+  }
 };
 
 namespace {
@@ -159,16 +225,6 @@ namespace {
 std::uint64_t next_registry_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1);
-}
-
-/// Per-thread shard cache keyed by process-unique registry id, so a thread
-/// finds its shard without touching the registry mutex after first use.
-/// Ids are never reused, so an entry for a destroyed registry is simply
-/// never looked up again. Stored as void* because Shard is private to the
-/// registry; local_shard() is the only reader and knows the real type.
-std::unordered_map<std::uint64_t, void*>& shard_cache() {
-  thread_local std::unordered_map<std::uint64_t, void*> cache;
-  return cache;
 }
 
 /// Force -0.0 to +0.0 so a sample's serialized form never depends on which
@@ -240,18 +296,24 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[nearest_rank(q, sorted.size()) - 1];
 }
 
-MetricsRegistry::MetricsRegistry() : id_(next_registry_id()) {}
+MetricsRegistry::MetricsRegistry()
+    : id_(next_registry_id()), shards_(std::make_shared<Shards>()) {}
 MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  auto& cache = shard_cache();
-  const auto it = cache.find(id_);
-  if (it != cache.end()) return *static_cast<Shard*>(it->second);
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  cache.emplace(id_, shard);
+  thread_local ThreadShards cache;
+  const auto it = cache.by_registry.find(id_);
+  if (it != cache.by_registry.end()) return *it->second.shard;
+  std::lock_guard<std::mutex> lock(shards_->mu);
+  shards_->list.push_back(std::make_unique<Shard>());
+  Shard* shard = shards_->list.back().get();
+  cache.by_registry.emplace(id_, ThreadShards::Entry{shards_, shard});
   return *shard;
+}
+
+std::size_t MetricsRegistry::shard_count() const {
+  std::lock_guard<std::mutex> lock(shards_->mu);
+  return shards_->list.size();
 }
 
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
@@ -286,8 +348,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::set<std::string> histogram_names;
   std::map<std::string, TimerHistogram> timers;
 
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
+  std::lock_guard<std::mutex> lock(shards_->mu);
+  for (const auto& shard : shards_->list) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     for (const auto& [name, v] : shard->counters) counters[name] += v;
     for (const auto& [name, v] : shard->gauges) {
@@ -325,7 +387,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 std::vector<double> MetricsRegistry::gather_samples(std::string_view name) const {
   std::vector<double> samples;
-  for (const auto& shard : shards_) {
+  for (const auto& shard : shards_->list) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     const auto it = shard->histograms.find(name);
     if (it != shard->histograms.end())
@@ -338,7 +400,7 @@ std::vector<double> MetricsRegistry::histogram_samples(std::string_view name) co
   // The same shard merge snapshot() performs, restricted to one histogram:
   // concatenation across shards (any order) then an ascending sort, so the
   // result — and every quantile of it — is thread-count-invariant.
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(shards_->mu);
   std::vector<double> samples = gather_samples(name);
   std::sort(samples.begin(), samples.end());
   return samples;
@@ -362,8 +424,8 @@ std::vector<HistogramCdfPoint> MetricsRegistry::histogram_cdf(std::string_view n
 }
 
 void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
+  std::lock_guard<std::mutex> lock(shards_->mu);
+  for (const auto& shard : shards_->list) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     shard->counters.clear();
     shard->gauges.clear();

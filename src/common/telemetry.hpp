@@ -38,7 +38,13 @@
 // store every observation (8 bytes each) because their exact quantiles are
 // pinned results (the city CDF); keep them off per-block paths. Each shard
 // looks names up by std::string_view, so once a name has been recorded on
-// a thread, recording it again allocates nothing.
+// a thread, recording it again allocates nothing. When a thread exits, its
+// shard is folded into the registry's one retired shard by the same merge
+// rules and freed, so a long-lived registry fed by short-lived threads (a
+// daemon's session threads) holds one shard per LIVE thread, not one per
+// thread that ever recorded. The fold is exact for counters, gauges and
+// histograms; only timer sums depend on the merge order, like any timer
+// value.
 #pragma once
 
 #include <chrono>
@@ -154,6 +160,11 @@ class MetricsRegistry {
   /// timers are zeroed in place, so recording them again allocates nothing).
   void clear();
 
+  /// Shards held: one per live thread that has recorded here, plus the one
+  /// holding what exited threads recorded. The registry's memory is this
+  /// many timer sets (about 20 KB per timer), plus histogram samples.
+  std::size_t shard_count() const;
+
   /// Scoped wall-clock timer: records into `registry` (nullptr = no-op,
   /// not even a clock read) on destruction. It keeps `name` as a view, so
   /// the string must outlive the timer: a literal, or a member of the
@@ -181,15 +192,20 @@ class MetricsRegistry {
 
  private:
   struct Shard;
+  /// The shard list and its lock. Recording threads hold it weakly, so a
+  /// thread that exits folds its shard in while the registry lives and does
+  /// nothing once it is gone.
+  struct Shards;
+  /// A thread's shard cache; its destructor is the thread-exit fold.
+  struct ThreadShards;
 
   Shard& local_shard();
   /// One histogram metric's samples concatenated across shards in shard
-  /// order, unsorted. The caller holds mu_.
+  /// order, unsorted. The caller holds shards_->mu.
   std::vector<double> gather_samples(std::string_view name) const;
 
   const std::uint64_t id_;  // process-unique, keys the thread-local cache
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::shared_ptr<Shards> shards_;
 };
 
 /// Null-safe instrumentation helpers: the injected-pointer no-op path.

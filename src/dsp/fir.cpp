@@ -23,9 +23,23 @@ void fir_core(std::type_identity_t<std::span<const std::complex<T>>> taps,
 template void fir_core<double>(CSpan, const Complex*, CMutSpan);
 template void fir_core<float>(CSpan32, const Complex32*, CMutSpan32);
 
+namespace {
+
+/// How many leading taps are exactly zero, keeping at least the last tap
+/// (kernels::fir rejects an empty span).
+template <typename T>
+std::size_t leading_zero_taps(const std::vector<std::complex<T>>& taps) {
+  std::size_t lead = 0;
+  while (lead + 1 < taps.size() && taps[lead] == std::complex<T>{}) ++lead;
+  return lead;
+}
+
+}  // namespace
+
 template <typename T>
 BasicFirFilter<T>::BasicFirFilter(Vec taps) : taps_(std::move(taps)), delay_(taps_.size()) {
   FF_CHECK_MSG(!taps_.empty(), "FIR filter needs at least one tap");
+  lead_ = leading_zero_taps(taps_);
 }
 
 template <typename T>
@@ -33,8 +47,8 @@ std::complex<T> BasicFirFilter<T>::push(Sample x) {
   head_ = (head_ + delay_.size() - 1) % delay_.size();
   delay_[head_] = x;
   Sample acc{};
-  std::size_t idx = head_;
-  for (std::size_t k = 0; k < taps_.size(); ++k) {
+  std::size_t idx = (head_ + lead_) % delay_.size();
+  for (std::size_t k = lead_; k < taps_.size(); ++k) {
     acc += taps_[k] * delay_[idx];
     ++idx;
     if (idx == delay_.size()) idx = 0;
@@ -70,7 +84,10 @@ void BasicFirFilter<T>::process_into(Span x, MutSpan out, kernels::Workspace& ws
   for (std::size_t k = 0; k < hist; ++k)
     ext[hist - 1 - k] = delay_[(head_ + k) % taps];
   std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(hist));
-  fir_core<T>(taps_, ext.data(), out);
+  // The leading zero taps are skipped: with h' = taps[lead_..], fir_core
+  // reads ext[(hist - lead_) + i - j] for tap h'[j] = h[lead_ + j], which is
+  // ext[hist + i - k] for k = lead_ + j — the same terms minus the zeros.
+  fir_core<T>(Span{taps_}.subspan(lead_), ext.data(), out);
   // Refill the delay line with the newest `taps` inputs (history included
   // when the block is shorter than the filter).
   for (std::size_t k = 0; k < taps; ++k) delay_[k] = ext[hist + n - 1 - k];
@@ -99,6 +116,7 @@ void BasicFirFilter<T>::set_taps(Vec taps) {
     head_ = 0;
   }
   taps_ = std::move(taps);
+  lead_ = leading_zero_taps(taps_);
 }
 
 template class BasicFirFilter<double>;

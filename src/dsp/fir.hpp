@@ -20,6 +20,13 @@ namespace ff::dsp {
 /// y[n] = sum_k h[k] x[n-k].  The filter owns a circular delay line; each
 /// push() consumes one input sample and produces one output sample with zero
 /// look-ahead, matching hardware tap-line semantics.
+///
+/// Leading taps that are exactly zero (a pure delay ahead of the response,
+/// as in a channel whose first path arrives late) are counted once per tap
+/// set and skipped by both push() and process_into(): an integer delay
+/// line. For finite input every output keeps its bits — each skipped term
+/// is a signed zero added to a sum that starts at +0 — but a non-finite
+/// input no longer spreads through the zero taps (0 * NaN would be NaN).
 template <typename T>
 class BasicFirFilter {
  public:
@@ -69,6 +76,7 @@ class BasicFirFilter {
 
  private:
   Vec taps_;
+  std::size_t lead_ = 0;  // leading exact-zero taps, skipped (< taps_.size())
   Vec delay_;             // circular buffer of past inputs
   std::size_t head_ = 0;  // index of the most recent sample
   kernels::Workspace ws_;  // scratch for the two-argument process_into

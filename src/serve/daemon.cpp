@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <iomanip>
 #include <set>
@@ -80,8 +81,10 @@ RelayDaemon::RelayDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
   // Discover the listen-mode socket endpoints the daemon will own. Connect-
   // mode (dial-out) socket elements keep managing themselves per session.
   std::set<std::string> endpoints;
-  if (!cfg_.control.empty())
-    endpoints.insert(stream::parse_endpoint("control endpoint", cfg_.control).text());
+  if (!cfg_.control.empty()) {
+    control_endpoint_ = stream::parse_endpoint("control endpoint", cfg_.control);
+    endpoints.insert(control_endpoint_.text());
+  }
   for (stream::Element* e : elems) {
     SocketPort port;
     if (auto* src = dynamic_cast<stream::SocketSource*>(e)) {
@@ -115,15 +118,64 @@ RelayDaemon::RelayDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
   for (const int fd : wake)
     FF_CHECK_MSG(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK) == 0,
                  "RelayDaemon: cannot make the wake pipe non-blocking");
+
+  // Bind every listener last, once nothing else can fail, so the daemon is
+  // connectable as soon as it is constructed: a peer that connects before
+  // run() waits in the listen backlog and is accepted at the first poll.
+  // A listener that cannot be bound throws from here, after releasing the
+  // ones already bound.
+  try {
+    for (const SocketPort& p : ports_) {
+      data_listeners_.push_back(stream::wire_listen(p.endpoint));
+      log("listening on " + p.endpoint.text() + " (" + p.element + ")");
+    }
+    if (!cfg_.control.empty()) {
+      control_listener_ = stream::wire_listen(control_endpoint_);
+      log("control on " + cfg_.control);
+    }
+  } catch (...) {
+    close_listeners();
+    throw;
+  }
 }
 
 RelayDaemon::~RelayDaemon() {
   // Normal teardown happens at the end of run(); this only covers run()
-  // unwinding on an exception with a session still alive.
+  // unwinding on an exception with a session still alive, and the
+  // listeners of a daemon that never ran.
   if (session_ && session_->thread.joinable()) {
     abort_session();
     session_->thread.join();
   }
+  close_listeners();
+}
+
+void RelayDaemon::close_listeners() {
+  // Unlink before closing: while the listener is still open no other
+  // process can take the path over, so this never deletes someone else's.
+  const auto unlink_unix = [](const stream::WireEndpoint& ep) {
+    if (ep.kind == stream::WireEndpoint::Kind::kUnix) ::unlink(ep.path.c_str());
+  };
+  if (control_listener_.valid()) unlink_unix(control_endpoint_);
+  for (std::size_t i = 0; i < data_listeners_.size(); ++i) unlink_unix(ports_[i].endpoint);
+  control_listener_.reset();
+  data_listeners_.clear();
+}
+
+void RelayDaemon::wake_loop() {
+  // EAGAIN means the pipe is full, so the loop is already due to wake.
+  // write(2) is async-signal-safe; errno is restored for a signal handler's
+  // interrupted code.
+  const int saved_errno = errno;
+  const char byte = 1;
+  const ssize_t n = ::write(wake_wr_.get(), &byte, 1);
+  (void)n;
+  errno = saved_errno;
+}
+
+void RelayDaemon::request_stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  wake_loop();
 }
 
 void RelayDaemon::log(const std::string& line) const {
@@ -138,16 +190,6 @@ void RelayDaemon::run() {
   next_snapshot_ =
       start_time_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                         std::chrono::duration<double>(cfg_.snapshot_period_s));
-
-  for (const SocketPort& p : ports_) {
-    data_listeners_.push_back(stream::wire_listen(p.endpoint));
-    log("listening on " + p.endpoint.text() + " (" + p.element + ")");
-  }
-  if (!cfg_.control.empty()) {
-    control_listener_ =
-        stream::wire_listen(stream::parse_endpoint("control endpoint", cfg_.control));
-    log("control on " + cfg_.control);
-  }
 
   while (true) {
     reap_session();
@@ -178,16 +220,7 @@ void RelayDaemon::run() {
 
   ctl_clients_.clear();
   pending_.clear();
-  control_listener_.reset();
-  data_listeners_.clear();
-  if (!cfg_.control.empty()) {
-    const stream::WireEndpoint ep =
-        stream::parse_endpoint("control endpoint", cfg_.control);
-    if (ep.kind == stream::WireEndpoint::Kind::kUnix) ::unlink(ep.path.c_str());
-  }
-  for (const SocketPort& p : ports_)
-    if (p.endpoint.kind == stream::WireEndpoint::Kind::kUnix)
-      ::unlink(p.endpoint.path.c_str());
+  close_listeners();
   log("shutdown complete: " + stats_line());
 }
 
@@ -263,6 +296,7 @@ void RelayDaemon::session_body(Session& s) {
                                                       : std::string(e.what());
   }
   s.done.store(true, std::memory_order_release);
+  wake_loop();  // reap now, not at the loop's next poll tick
 }
 
 void RelayDaemon::reap_session() {
@@ -300,13 +334,9 @@ void RelayDaemon::poll_once(int timeout_ms) {
     std::string elem;  // kPendingPeer: the pending_ key
   };
   // The wake pipe ends the wait as soon as a session has answered a queued
-  // control command; with no sockets at all it is the loop's plain sleep,
-  // which still paces back-to-back sessions.
+  // control command or ended, or a stop was requested; with no sockets at
+  // all it is the loop's plain sleep between those events.
   std::vector<Entry> entries{{wake_rd_.get(), Entry::kWake, 0, {}}};
-  if (control_listener_.valid())
-    entries.push_back({control_listener_.get(), Entry::kCtlListener, 0, {}});
-  for (std::size_t i = 0; i < ctl_clients_.size(); ++i)
-    entries.push_back({ctl_clients_[i].fd.get(), Entry::kCtlClient, i, {}});
   // Pending peers are watched for hangup only (events = 0: POLLHUP/POLLERR
   // are always reported), so a peer that dies before its session starts
   // releases the endpoint instead of claiming it forever. Ordered before
@@ -315,6 +345,14 @@ void RelayDaemon::poll_once(int timeout_ms) {
     if (!peer.eof_ok) entries.push_back({peer.fd.get(), Entry::kPendingPeer, 0, elem});
   for (std::size_t i = 0; i < data_listeners_.size(); ++i)
     entries.push_back({data_listeners_[i].get(), Entry::kDataListener, i, {}});
+  // The control side comes last, after a session whose peers this round
+  // accepted has started: a client that connected its data peers before
+  // sending `stats` sees that session in the reply.
+  const std::size_t first_ctl = entries.size();
+  if (control_listener_.valid())
+    entries.push_back({control_listener_.get(), Entry::kCtlListener, 0, {}});
+  for (std::size_t i = 0; i < ctl_clients_.size(); ++i)
+    entries.push_back({ctl_clients_[i].fd.get(), Entry::kCtlClient, i, {}});
 
   std::vector<pollfd> fds(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i)
@@ -327,10 +365,12 @@ void RelayDaemon::poll_once(int timeout_ms) {
 
   std::vector<std::size_t> drop;  // ctl_clients_ indices to remove
   for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i == first_ctl) maybe_start_session();
     if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     switch (entries[i].type) {
       case Entry::kWake: {
-        // Only the wake-up matters; service_ctl_replies() runs next.
+        // Only the wake-up matters: service_ctl_replies() runs next, and
+        // the loop's next pass reaps a finished session or stops.
         char buf[64];
         while (::read(entries[i].fd, buf, sizeof buf) > 0) {
         }
@@ -553,13 +593,8 @@ void RelayDaemon::drain_ctl_queue(stream::Graph& g) {
     req->reply.set_value(exec_element_command(g, req->cmd));
     answered = true;
   }
-  if (answered) {
-    // Wake the driver loop so service_ctl_replies() sends the replies now.
-    // EAGAIN means the pipe is full, so the driver is already due to wake.
-    const char byte = 1;
-    const ssize_t n = ::write(wake_wr_.get(), &byte, 1);
-    (void)n;
-  }
+  // Wake run()'s loop so service_ctl_replies() sends the replies now.
+  if (answered) wake_loop();
 }
 
 void RelayDaemon::flush_ctl_queue(const std::string& code, const std::string& detail) {

@@ -26,8 +26,9 @@
 //     live `write src_cfo.set_cfo 200` is exactly as safe as `--set` at
 //     startup. Once it has answered, the session thread wakes the driver
 //     loop through a self-pipe, so the reply goes out at once rather than
-//     at the loop's next poll tick. Throughput-mode sessions have no global
-//     quiescent point and answer `err busy` for element commands
+//     at the loop's next poll tick; a session that ends, and
+//     request_stop(), wake it the same way. Throughput-mode sessions have
+//     no global quiescent point and answer `err busy` for element commands
 //     (stats/snapshot still work).
 //
 //   * telemetry export — the daemon-lifetime MetricsRegistry (serve.*
@@ -103,22 +104,32 @@ class RelayDaemon {
  public:
   /// Parses and validates the graph (a probe instance is built and the
   /// presets applied to it, so configuration errors fail HERE, not at the
-  /// first client). FF_CHECK on any error.
+  /// first client), then binds every data and control listener: the daemon
+  /// is connectable once this returns, and a peer that connects before
+  /// run() waits in the listen backlog. FF_CHECK on any error, including a
+  /// listener that cannot be bound (path in use, a non-socket file at the
+  /// path, a failed bind).
   explicit RelayDaemon(DaemonConfig cfg);
+  /// Closes the listeners of a daemon that never ran and unlinks their Unix
+  /// socket paths, as run() does on exit.
   ~RelayDaemon();
 
   RelayDaemon(const RelayDaemon&) = delete;
   RelayDaemon& operator=(const RelayDaemon&) = delete;
 
   /// Serve until `shutdown` (control plane), request_stop(), or
-  /// max_sessions completed sessions. Returns normally on clean shutdown.
+  /// max_sessions completed sessions. Returns normally on clean shutdown,
+  /// after closing the listeners and unlinking their Unix socket paths, so
+  /// a new daemon can be built on the same endpoints.
   void run();
 
   /// Ask the driver loop to wind down (safe from a signal handler: one
-  /// relaxed atomic store). In-flight reference-mode sessions are aborted
-  /// at the next round; socket-fed throughput sessions are unblocked by
-  /// shutting down their data connections.
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// relaxed atomic store plus one write(2) to the loop's non-blocking
+  /// wake pipe, so run() reacts at once rather than at its next poll tick).
+  /// In-flight reference-mode sessions are aborted at the next round;
+  /// socket-fed throughput sessions are unblocked by shutting down their
+  /// data connections.
+  void request_stop();
 
   // ---- observability (driver thread / post-run) ----------------------
   std::uint64_t sessions_started() const { return sessions_started_; }
@@ -177,6 +188,11 @@ class RelayDaemon {
 
   void log(const std::string& line) const;
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
+  /// Unlinks the Unix paths of the bound listeners, then closes them.
+  void close_listeners();
+  /// Ends run()'s poll wait: one byte into the wake pipe.
+  /// Async-signal-safe; keeps errno.
+  void wake_loop();
 
   void maybe_start_session();
   void session_body(Session& s);
@@ -214,10 +230,12 @@ class RelayDaemon {
 
   std::atomic<bool> stop_{false};
 
-  /// Self-pipe in poll_once()'s poll set: the session thread writes a byte
-  /// to wake_wr_ after answering control commands.
+  /// Self-pipe in poll_once()'s poll set: wake_loop() writes a byte to
+  /// wake_wr_ when a session has answered control commands or ended, and
+  /// on request_stop().
   stream::OwnedFd wake_rd_;
   stream::OwnedFd wake_wr_;
+  stream::WireEndpoint control_endpoint_;  // parsed cfg_.control
   stream::OwnedFd control_listener_;
   std::vector<stream::OwnedFd> data_listeners_;  // parallel to ports_
   std::vector<CtlClient> ctl_clients_;

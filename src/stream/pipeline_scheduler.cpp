@@ -44,13 +44,18 @@
 // Safety: a wall-clock progress watchdog replaces the reference mode's
 // stuck-round check. If no chain moves a block for watchdog_ms, every
 // worker is aborted and the error reports each bridge's ring occupancy —
-// the pipeline picture of where the graph wedged.
+// the pipeline picture of where the graph wedged. The watchdog waits on a
+// condition variable that the last worker to retire (or the first to
+// abort) notifies, so a run ends when its last chain does, not at the
+// watchdog's next tick.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -171,6 +176,10 @@ std::uint64_t Scheduler::run_throughput() {
   std::atomic<std::uint64_t> progress{0};   // bumped on any chain progress
   std::atomic<std::uint64_t> transfers{0};  // blocks moved across rings
   std::atomic<std::size_t> done{0};         // workers that have returned
+  // Guards the changes the watchdog waits for (a retirement, an abort), so
+  // its wait cannot miss the notification.
+  std::mutex retire_mu;
+  std::condition_variable retired;
   std::vector<std::exception_ptr> errors(n_chains);
   const std::size_t batch = cfg_.batch_size;
 
@@ -250,14 +259,24 @@ std::uint64_t Scheduler::run_throughput() {
       }
     } catch (...) {
       errors[c] = std::current_exception();
-      abort.store(true, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(retire_mu);
+        abort.store(true, std::memory_order_relaxed);
+      }
+      retired.notify_one();
     }
   };
   // Wrapper so every exit path — finished, aborted, or thrown — retires the
-  // worker in `done` (the watchdog loop's termination condition).
+  // worker in `done` (the watchdog's termination condition); the last one
+  // to retire wakes the watchdog.
   auto run_chain = [&](std::size_t c) {
     chain_loop(c);
-    done.fetch_add(1, std::memory_order_release);
+    std::size_t retired_now;
+    {
+      std::lock_guard<std::mutex> lock(retire_mu);
+      retired_now = done.fetch_add(1, std::memory_order_release) + 1;
+    }
+    if (retired_now == n_chains) retired.notify_one();
   };
 
   std::vector<std::thread> workers;
@@ -267,14 +286,20 @@ std::uint64_t Scheduler::run_throughput() {
   // The calling thread is the watchdog: some chain must make progress (or
   // retire) at least once per watchdog_ms, or the run is declared wedged
   // and torn down. A graph that is merely slow keeps ticking `progress`;
-  // only a true deadlock goes quiet.
+  // only a true deadlock goes quiet. It checks once per 1 ms tick and
+  // stops watching as soon as every worker has retired or one has aborted
+  // the run (the join below then collects the rest).
   bool watchdog_fired = false;
   if (cfg_.watchdog_ms > 0.0) {
     using clock = std::chrono::steady_clock;
     std::uint64_t last_seen = ~std::uint64_t{0};
     auto last_change = clock::now();
-    while (done.load(std::memory_order_acquire) < n_chains) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto over = [&] {
+      return done.load(std::memory_order_acquire) == n_chains ||
+             abort.load(std::memory_order_relaxed);
+    };
+    std::unique_lock<std::mutex> lock(retire_mu);
+    while (!retired.wait_for(lock, std::chrono::milliseconds(1), over)) {
       const std::uint64_t now_progress = progress.load(std::memory_order_relaxed) +
                                          done.load(std::memory_order_relaxed);
       if (now_progress != last_seen) {

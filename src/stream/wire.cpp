@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -194,6 +195,12 @@ OwnedFd wire_accept(int listen_fd) {
 OwnedFd wire_connect(const WireEndpoint& ep, double timeout_s) {
   using clock = std::chrono::steady_clock;
   const auto deadline = clock::now() + std::chrono::duration<double>(timeout_s);
+  // A peer that is still starting refuses the first attempts. Retry after
+  // 100 us and double the pause up to 10 ms, so a listener that comes up
+  // moments later is reached within about its own start-up time, while a
+  // long wait costs at most 100 attempts a second.
+  constexpr clock::duration kMaxPause = std::chrono::milliseconds(10);
+  clock::duration pause = std::chrono::microseconds(100);
   for (;;) {
     OwnedFd fd = make_socket(ep);
     int rc;
@@ -205,9 +212,13 @@ OwnedFd wire_connect(const WireEndpoint& ep, double timeout_s) {
       rc = ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
     }
     if (rc == 0) return fd;
-    FF_CHECK_MSG(clock::now() < deadline, "wire: connect(" << ep.text() << ") failed: "
-                                                           << errno_text(errno));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int err = errno;
+    const auto now = clock::now();
+    FF_CHECK_MSG(now < deadline,
+                 "wire: connect(" << ep.text() << ") failed: " << errno_text(err));
+    std::this_thread::sleep_for(
+        std::min<std::chrono::duration<double>>(pause, deadline - now));
+    pause = std::min(2 * pause, kMaxPause);
   }
 }
 

@@ -85,7 +85,9 @@ OwnedFd wire_listen(const WireEndpoint& ep, int backlog = 4);
 OwnedFd wire_accept(int listen_fd);
 
 /// Connect to the endpoint, retrying until `timeout_s` elapses (covers the
-/// listener racing up). FF_CHECK when the deadline passes.
+/// listener racing up): the pause between attempts starts at 100 us and
+/// doubles up to 10 ms, clipped to the deadline. FF_CHECK when the deadline
+/// passes.
 OwnedFd wire_connect(const WireEndpoint& ep, double timeout_s = 10.0);
 
 /// True when fd has readable data (or EOF) within `timeout_ms`

@@ -207,6 +207,77 @@ TEST(Fir, ProcessIntoEqualsPushBitForBit) {
   expect_process_into_equals_push<float>();
 }
 
+// Leading exact-zero taps (a late first path, like chan_sd's 17 of 61) are
+// skipped, and the output keeps every bit: compared with fir_core over the
+// full tap set and a zero history, both through blocks and through push().
+template <typename T>
+void expect_leading_zero_taps_keep_bits() {
+  using C = std::complex<T>;
+  Rng rng(std::is_same_v<T, double> ? 43 : 44);
+  const auto draw = [&rng] {
+    const Complex d = rng.cgaussian();
+    return C{static_cast<T>(d.real()), static_cast<T>(d.imag())};
+  };
+  for (const std::size_t lead : {1, 17, 60}) {
+    std::vector<C> h(61), x(3000);
+    for (std::size_t k = 0; k < h.size(); ++k) h[k] = k < lead ? C{} : draw();
+    h[0] = C{T(-0.0), T(0.0)};  // a negative zero is an exact zero too
+    for (auto& v : x) v = draw();
+    std::vector<C> ext(h.size() - 1 + x.size(), C{});
+    std::copy(x.begin(), x.end(), ext.begin() + static_cast<std::ptrdiff_t>(h.size() - 1));
+    std::vector<C> want(x.size());
+    dsp::fir_core<T>(h, ext.data(), want);
+
+    dsp::BasicFirFilter<T> oracle(h), blocked(h);
+    std::vector<C> pushed(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) pushed[i] = oracle.push(x[i]);
+    std::vector<C> got = x;
+    for (std::size_t done = 0; done < got.size(); done += 100)
+      blocked.process_into(std::span<C>{got.data() + done, 100},
+                           std::span<C>{got.data() + done, 100});
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(C)), 0)
+        << "lead=" << lead << " width=" << sizeof(T) * 8;
+    EXPECT_EQ(std::memcmp(pushed.data(), want.data(), pushed.size() * sizeof(C)), 0)
+        << "lead=" << lead << " width=" << sizeof(T) * 8;
+  }
+  // An all-zero tap set keeps its last tap and filters to +0.
+  dsp::BasicFirFilter<T> zeros(std::vector<C>(5, C{}));
+  std::vector<C> y(8, C{T(1), T(-2)});
+  zeros.process_into(y, y);
+  for (const C& v : y) {
+    EXPECT_EQ(v, C{});
+    EXPECT_FALSE(std::signbit(v.real()) || std::signbit(v.imag()));
+  }
+  EXPECT_EQ(zeros.push(C{T(3), T(4)}), C{});
+}
+
+TEST(Fir, LeadingZeroTapsAreSkippedBitForBit) {
+  expect_leading_zero_taps_keep_bits<double>();
+  expect_leading_zero_taps_keep_bits<float>();
+}
+
+// The one visible change of skipping leading zero taps: a non-finite input
+// reaches the output only through the taps that multiply it by a nonzero
+// value. With taps (0, 0, 1) a NaN at n = 0 shows up at n = 2 alone; the
+// full product sum would also give NaN at n = 0 and 1 (0 * NaN = NaN).
+TEST(Fir, LeadingZeroTapsDoNotSpreadNaN) {
+  const CVec h{Complex{}, Complex{}, Complex{1.0, 0.0}};
+  CVec x(6, Complex{1.0, 0.0});
+  x[0] = Complex{std::nan(""), 0.0};
+  dsp::FirFilter oracle(h), blocked(h);
+  CVec pushed(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) pushed[i] = oracle.push(x[i]);
+  CVec got = x;
+  blocked.process_into(got, got);
+  for (const CVec* y : {&pushed, &got}) {
+    for (std::size_t n = 0; n < y->size(); ++n) {
+      EXPECT_EQ(std::isnan((*y)[n].real()), n == 2) << "n=" << n;
+    }
+    EXPECT_EQ((*y)[0], Complex{});
+    EXPECT_EQ((*y)[3], Complex(1.0, 0.0));
+  }
+}
+
 TEST(Fir, ImpulseRecoversTaps) {
   CVec taps{{1.0, 0.5}, {-0.3, 0.1}, {0.0, -0.7}};
   CVec impulse(8, Complex{});

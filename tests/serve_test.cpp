@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -158,6 +160,36 @@ TEST(Wire, ListenRefusesLiveOrForeignUnixPathsButReclaimsStaleOnes) {
   EXPECT_TRUE(std::ifstream(path).good());
 
   ::unlink(path.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// A listener that comes up about 1 ms after wire_connect starts is reached
+// within a few ms: the retry pause starts at 100 us and doubles. (With a
+// fixed 10 ms pause, every trial here took at least 10 ms.)
+TEST(Wire, ConnectReachesALateListenerWithinMilliseconds) {
+  const std::string dir = make_temp_dir();
+  const auto ep = stream::parse_endpoint("t", "unix:" + dir + "/late.sock");
+  std::vector<double> took_ms;
+  for (int trial = 0; trial < 5; ++trial) {
+    std::atomic<bool> go{false};
+    stream::OwnedFd listener;
+    std::thread binder([&] {
+      while (!go.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      listener = stream::wire_listen(ep);
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    go.store(true);
+    const stream::OwnedFd c = stream::wire_connect(ep, 5.0);
+    took_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    binder.join();
+    EXPECT_TRUE(c.valid());
+    ::unlink(ep.path.c_str());
+  }
+  std::sort(took_ms.begin(), took_ms.end());
+  EXPECT_LT(took_ms[2], 6.0) << "median connect time (ms) to a listener bound after 1 ms";
   ::rmdir(dir.c_str());
 }
 
@@ -878,6 +910,168 @@ TEST(RelayDaemon, ConstructorRejectsBadGraphsAndPresets) {
   noep.graph_text = "in :: SocketSource();\nin -> NullSink();\n";
   noep.log = [](const std::string&) {};
   EXPECT_THROW(serve::RelayDaemon{noep}, std::logic_error);
+}
+
+/// One connect(2) to a Unix socket path, no retry: the fd, or an invalid
+/// one when nobody listens there.
+stream::OwnedFd connect_once(const std::string& path) {
+  stream::OwnedFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0)
+    fd.reset();
+  return fd;
+}
+
+bool is_socket(const std::string& path) {
+  struct stat st{};
+  return ::lstat(path.c_str(), &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
+/// A daemon config serving `in -> NullSink` on a listening source, with a
+/// control endpoint; no session starts until a peer connects to `in`.
+serve::DaemonConfig idle_daemon_config(const std::string& dir) {
+  serve::DaemonConfig cfg;
+  cfg.graph_text = "in :: SocketSource(endpoint=unix:" + dir + "/in.sock, poll_ms=5);\n" +
+                   "in -> NullSink();\n";
+  cfg.control = "unix:" + dir + "/ctl.sock";
+  cfg.log = [](const std::string&) {};
+  return cfg;
+}
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// The daemon binds its listeners in the constructor: one connect(2) with no
+// retry reaches both the control and the data endpoint before run() is
+// called, and run() then serves the queued peers: the control client gets
+// its pong and the data peer its session.
+TEST(RelayDaemon, ConnectableOnceConstructed) {
+  const std::string dir = make_temp_dir();
+  serve::RelayDaemon daemon(idle_daemon_config(dir));
+  const stream::OwnedFd ctl = connect_once(dir + "/ctl.sock");
+  const stream::OwnedFd data = connect_once(dir + "/in.sock");
+  EXPECT_TRUE(ctl.valid()) << "control endpoint refused a connect before run()";
+  EXPECT_TRUE(data.valid()) << "data endpoint refused a connect before run()";
+
+  std::thread runner([&] { daemon.run(); });
+  if (ctl.valid()) {
+    EXPECT_EQ(control(ctl.get(), "ping"), "ok pong");
+    if (data.valid()) {
+      // The queued data peer is the graph's only port: its session starts.
+      EXPECT_NE(wait_stats(ctl.get(), "sessions_started=1").find("active=1"),
+                std::string::npos);
+    }
+  }
+  daemon.request_stop();
+  runner.join();
+  ::rmdir(dir.c_str());
+}
+
+// A client that connects both data peers and then asks `stats` gets a
+// reply that shows the session: the daemon accepts the peers and starts
+// the session before it answers control lines from the same poll round.
+// (Answered first, the reply read active=0, and a client polling for the
+// session start waited out its own retry interval.)
+TEST(RelayDaemon, StatsAfterBothPeersConnectShowsTheSession) {
+  const std::string dir = make_temp_dir();
+  const std::string in_ep = "unix:" + dir + "/in.sock";
+  const std::string out_ep = "unix:" + dir + "/out.sock";
+  for (int trial = 0; trial < 5; ++trial) {
+    serve::DaemonConfig cfg;
+    cfg.graph_text = "in :: SocketSource(endpoint=" + in_ep + ", poll_ms=5);\n" +
+                     "out :: SocketSink(endpoint=" + out_ep + ", listen=true);\n" +
+                     "in -> out;\n";
+    cfg.control = "unix:" + dir + "/ctl.sock";
+    cfg.log = [](const std::string&) {};
+    serve::RelayDaemon daemon(std::move(cfg));
+    const stream::OwnedFd ctl = connect_once(dir + "/ctl.sock");
+    ASSERT_TRUE(ctl.valid());
+    std::thread runner([&] { daemon.run(); });
+    EXPECT_EQ(control(ctl.get(), "ping"), "ok pong");
+    const stream::OwnedFd tx = connect_once(dir + "/in.sock");
+    const stream::OwnedFd rx = connect_once(dir + "/out.sock");
+    EXPECT_NE(control(ctl.get(), "stats").find("active=1"), std::string::npos)
+        << "trial " << trial;
+    daemon.request_stop();
+    runner.join();
+  }
+  ::rmdir(dir.c_str());
+}
+
+// A daemon that never ran still releases its endpoints: the destructor
+// unlinks its Unix socket paths, so another daemon constructs on them. A
+// daemon whose control path is held by a live daemon throws from its
+// constructor, releases the data path it had bound, and leaves the live
+// daemon's path alone.
+TEST(RelayDaemon, NeverRunDaemonReleasesItsSocketPaths) {
+  const std::string dir = make_temp_dir();
+  const std::string in_path = dir + "/in.sock";
+  const std::string ctl_path = dir + "/ctl.sock";
+  {
+    serve::RelayDaemon first(idle_daemon_config(dir));
+    EXPECT_TRUE(is_socket(in_path));
+    EXPECT_TRUE(is_socket(ctl_path));
+  }
+  EXPECT_FALSE(is_socket(in_path)) << "destructor left " << in_path;
+  EXPECT_FALSE(is_socket(ctl_path)) << "destructor left " << ctl_path;
+
+  const std::string other = make_temp_dir();
+  {
+    serve::RelayDaemon second(idle_daemon_config(dir));
+    serve::DaemonConfig clash = idle_daemon_config(other);
+    clash.control = "unix:" + ctl_path;  // held by `second`
+    EXPECT_THROW(serve::RelayDaemon{clash}, std::logic_error);
+    EXPECT_FALSE(is_socket(other + "/in.sock")) << "a failed constructor kept its data path";
+    EXPECT_TRUE(connect_once(ctl_path).valid()) << "the live daemon lost its control path";
+  }
+  ::rmdir(other.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// request_stop() and the end of the last session wake run()'s loop at once.
+// Both used to wait for its next 50 ms poll tick; each is repeated so a
+// lucky tick cannot pass the median.
+TEST(RelayDaemon, RunReturnsPromptlyAfterStopOrTheLastSession) {
+  const std::string dir = make_temp_dir();
+  std::vector<double> stop_ms;
+  for (int trial = 0; trial < 5; ++trial) {
+    serve::RelayDaemon daemon(idle_daemon_config(dir));
+    std::thread runner([&] { daemon.run(); });
+    // The reply proves run()'s loop is up; it then goes back to poll.
+    // The connection stays open, so no hangup wakes the loop either.
+    const stream::OwnedFd ctl =
+        stream::wire_connect(stream::parse_endpoint("t", "unix:" + dir + "/ctl.sock"), 20.0);
+    EXPECT_EQ(control(ctl.get(), "ping"), "ok pong");
+    const auto t0 = std::chrono::steady_clock::now();
+    daemon.request_stop();
+    runner.join();
+    stop_ms.push_back(ms_since(t0));
+  }
+  std::sort(stop_ms.begin(), stop_ms.end());
+  EXPECT_LT(stop_ms[2], 20.0) << "median ms from request_stop() to run() returning";
+
+  // --once: a one-session daemon exits when its session ends. The session
+  // finishes in microseconds, so run() takes about the set-up time.
+  std::vector<double> once_ms;
+  for (int trial = 0; trial < 5; ++trial) {
+    serve::DaemonConfig cfg;
+    cfg.graph_text = "src :: VectorSource(data=(1,0),(2,0),(3,0), block=2);\n"
+                     "sink :: AccumulatorSink;\nsrc -> sink;\n";
+    cfg.max_sessions = 1;
+    cfg.log = [](const std::string&) {};
+    serve::RelayDaemon daemon(std::move(cfg));
+    const auto t0 = std::chrono::steady_clock::now();
+    daemon.run();
+    once_ms.push_back(ms_since(t0));
+    EXPECT_EQ(daemon.sessions_completed(), 1u);
+  }
+  std::sort(once_ms.begin(), once_ms.end());
+  EXPECT_LT(once_ms[2], 20.0) << "median ms for run() of a one-session daemon";
+  ::rmdir(dir.c_str());
 }
 
 TEST(RelayDaemon, RunsSocketlessGraphsBackToBack) {

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -626,6 +628,75 @@ TEST(StreamThroughput, WatchdogAbortsStuckGraph) {
     EXPECT_NE(what.find("no progress"), std::string::npos) << what;
     EXPECT_NE(what.find("ring"), std::string::npos) << what;  // occupancy report
   }
+}
+
+namespace {
+/// A source whose single block takes `delay` to produce, so the chains are
+/// still running when the watchdog starts waiting on them.
+class SlowSource : public stream::Source {
+ public:
+  SlowSource(std::string name, std::chrono::microseconds delay)
+      : Source(std::move(name), 16), delay_(delay) {}
+  const char* class_name() const override { return "SlowSource"; }
+
+ protected:
+  bool exhausted() const override { return done_; }
+  CVec generate() override {
+    std::this_thread::sleep_for(delay_);
+    done_ = true;
+    return CVec(16, Complex{1.0, 0.0});
+  }
+
+ private:
+  std::chrono::microseconds delay_;
+  bool done_ = false;
+};
+
+/// A sink that stamps the time it consumed its last block.
+class StampSink : public stream::SinkBase {
+ public:
+  explicit StampSink(std::string name) : SinkBase(std::move(name)) {}
+  const char* class_name() const override { return "StampSink"; }
+  std::chrono::steady_clock::time_point last{};
+
+ protected:
+  void consume(const stream::Block&) override { last = std::chrono::steady_clock::now(); }
+};
+}  // namespace
+
+// The watchdog waits on the chains' retirement, not on a 1 ms sleep: run()
+// returns as soon as the last chain does. Measured from the sink's last
+// block to run() returning, a run with the watchdog on takes no longer
+// than one with it off, whose calling thread only joins the workers (the
+// workers' own exit cost, large under sanitizers, is in both). The
+// sleeping watchdog noticed the end only at its next tick, about 0.5 ms
+// later in the median; the source's varied delay spreads the end over a
+// whole tick.
+TEST(StreamThroughput, RunEndsWhenItsLastChainRetires) {
+  std::vector<double> overhang_ms[2];  // [watchdog off, on]
+  for (int trial = 0; trial < 21; ++trial) {
+    for (const bool watchdog : {false, true}) {
+      Graph g;
+      auto* src =
+          g.emplace<SlowSource>("src", std::chrono::microseconds(1500 + 53 * trial));
+      auto* fir = g.emplace<stream::FirElement>("fir", CVec{Complex{0.5, 0.0}});
+      auto* sink = g.emplace<StampSink>("sink");
+      g.connect(*src, 0, *fir, 0);
+      g.connect(*fir, 0, *sink, 0);
+      SchedulerConfig sc;
+      sc.mode = stream::SchedulerMode::kThroughput;
+      sc.threads = 3;
+      if (!watchdog) sc.watchdog_ms = 0.0;
+      Scheduler(g, sc).run();
+      overhang_ms[watchdog].push_back(std::chrono::duration<double, std::milli>(
+                                          std::chrono::steady_clock::now() - sink->last)
+                                          .count());
+    }
+  }
+  for (auto& v : overhang_ms) std::sort(v.begin(), v.end());
+  EXPECT_LT(overhang_ms[1][10] - overhang_ms[0][10], 0.2)
+      << "median ms from the last block to run() returning: watchdog on "
+      << overhang_ms[1][10] << ", off " << overhang_ms[0][10];
 }
 
 // --------------------------------------- pinned relay-session checksum

@@ -361,5 +361,90 @@ TEST(Telemetry, SnapshotWhileRecordingIsRaceFree) {
   EXPECT_EQ(snap.timers[0].min, 0.5);
 }
 
+// ------------------------------------------------- short-lived threads
+
+/// The nine per-element block timers of the benchmark's relay graph.
+constexpr const char* kBlockTimers[] = {
+    "stream.src.block_us",     "stream.txgain.block_us", "stream.src_cfo.block_us",
+    "stream.tee.block_us",     "stream.chan_sd.block_us", "stream.chan_sr.block_us",
+    "stream.relay.block_us",   "stream.chan_rd.block_us", "stream.sink.block_us"};
+
+/// What one session thread records: the nine block timers plus one of each
+/// other kind.
+void record_session(MetricsRegistry& reg, int k) {
+  for (const char* name : kBlockTimers)
+    reg.observe_duration_us(name, 1.0 + static_cast<double>(k % 50));
+  reg.add("session.blocks", 9);
+  reg.set("session.last_id", static_cast<double>(k));
+  reg.observe("session.value", static_cast<double>(k) * 0.5 - 7.0);
+}
+
+TEST(Telemetry, ExitedThreadsFoldIntoOneRetiredShard) {
+  // A daemon records each session on a new thread. When a thread exits its
+  // shard is folded into the retired one and freed, so 400 sessions leave
+  // the registry holding one shard, not 400 (about 180 KB each), and the
+  // snapshot counts every observation.
+  constexpr int kSessions = 400;
+  constexpr int kWave = 4;  // threads alive at once
+  MetricsRegistry reg;
+  std::size_t max_shards = 0;
+  for (int first = 0; first < kSessions; first += kWave) {
+    std::vector<std::thread> wave;
+    for (int k = first; k < first + kWave; ++k)
+      wave.emplace_back([&reg, k] { record_session(reg, k); });
+    for (auto& t : wave) t.join();
+    max_shards = std::max(max_shards, reg.shard_count());
+  }
+  // join() returns after the thread's exit fold has run.
+  EXPECT_EQ(max_shards, 1u);
+  EXPECT_EQ(reg.shard_count(), 1u);
+
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.timers.size(), std::size(kBlockTimers));
+  for (const MetricValue& t : snap.timers) {
+    EXPECT_EQ(t.count, static_cast<std::uint64_t>(kSessions)) << t.name;
+    EXPECT_EQ(t.min, 1.0) << t.name;
+    EXPECT_EQ(t.max, 50.0) << t.name;
+  }
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].count, 9u * kSessions);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].value, static_cast<double>(kSessions - 1));  // max
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].count, static_cast<std::uint64_t>(kSessions));
+
+  // The fold is exact: apart from timer values, the report equals one made
+  // with every session recorded on a single live thread.
+  MetricsRegistry serial;
+  for (int k = 0; k < kSessions; ++k) record_session(serial, k);
+  EXPECT_EQ(snap.to_json(/*include_timer_values=*/false),
+            serial.snapshot().to_json(/*include_timer_values=*/false));
+}
+
+TEST(Telemetry, RegistryDestroyedBeforeItsThreadsExitIsSafe) {
+  // A thread that recorded into a registry which is destroyed before the
+  // thread exits skips that registry at exit, and still folds its shard of
+  // a registry that lives on.
+  auto doomed = std::make_unique<MetricsRegistry>();
+  MetricsRegistry kept;
+  std::atomic<int> stage{0};
+  std::thread worker([&] {
+    doomed->add("doomed.items");
+    kept.add("kept.items", 3);
+    stage.store(1);
+    while (stage.load() != 2) std::this_thread::yield();
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  EXPECT_EQ(kept.shard_count(), 2u);  // the retired shard and the worker's
+  doomed.reset();
+  stage.store(2);
+  worker.join();
+
+  EXPECT_EQ(kept.shard_count(), 1u);
+  const MetricsSnapshot snap = kept.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].count, 3u);
+}
+
 }  // namespace
 }  // namespace ff
