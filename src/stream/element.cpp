@@ -68,9 +68,7 @@ void Element::set_port_counts(std::size_t n_inputs, std::size_t n_outputs) {
 Block Element::pop(std::size_t port) {
   Channel& ch = *inputs_[port];
   FF_CHECK_MSG(!ch.fifo.empty(), "pop on empty input " << port << " of " << name_);
-  Block b = std::move(ch.fifo.front());
-  ch.fifo.pop_front();
-  return b;
+  return ch.fifo.pop_front();
 }
 
 void Element::emit(std::size_t port, Block&& block) {
@@ -248,6 +246,13 @@ bool Transform::work_batch(std::size_t max_blocks) {
     if (n > max_blocks) n = max_blocks;
     if (n > space) n = space;  // never pop what cannot be re-emitted
     if (n == 0) break;
+    // No pass stages more than its input holds: sized for that once, the
+    // staging allocates once however the batches fall. Not before the first
+    // block: a worker thread's first allocation picks its malloc arena, and
+    // chains that all allocated on their first, idle pass would pick arenas
+    // in a racy order (stream memory then depends on which arena each chain
+    // drew; docs/PERFORMANCE.md, "Stream memory").
+    batch_.reserve(std::min(max_blocks, in_capacity(0)));
     batch_.clear();
     for (std::size_t i = 0; i < n; ++i) batch_.push_back(pop(0));
     {
@@ -300,12 +305,12 @@ bool SinkBase::work() {
   std::size_t taken = 0;
   while (in_available(0) &&
          (max_blocks_per_work_ == 0 || taken < max_blocks_per_work_)) {
-    const Block b = pop(0);
+    Block b = pop(0);
+    note_consumed(b);
     {
       MetricsRegistry::ScopedTimer timer(metrics(), block_timer_name());
-      consume(b);
+      consume_owned(std::move(b));
     }
-    note_consumed(b);
     ++taken;
     moved = true;
   }

@@ -1,12 +1,13 @@
 // Element model of the streaming runtime (Click-style modular dataflow).
 //
 // An Element is a stateful processing stage with numbered input and output
-// ports. Ports are wired point-to-point through bounded Channels (FIFOs of
-// Blocks) owned by the Graph; an element never sees its neighbours, only its
-// channels. Each scheduling opportunity the Scheduler calls work(), which
-// moves as many blocks as the channels allow and returns whether anything
-// moved. A full output channel is backpressure: the element simply leaves
-// its input queued and reports a stall — nothing is ever dropped.
+// ports. Ports are wired point-to-point through bounded Channels (fixed
+// rings of Blocks) owned by the Graph; an element never sees its
+// neighbours, only its channels. Each scheduling opportunity the Scheduler
+// calls work(), which moves as many blocks as the channels allow and
+// returns whether anything moved. A full output channel is backpressure:
+// the element simply leaves its input queued and reports a stall — nothing
+// is ever dropped.
 //
 // Determinism contract (what makes multi-threaded runs bit-identical):
 //   * an element touches only its own state and its own channels;
@@ -21,11 +22,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/telemetry.hpp"
 #include "stream/block.hpp"
 #include "stream/handlers.hpp"
@@ -35,12 +37,53 @@ namespace ff::stream {
 
 class Element;
 
+/// Fixed-capacity FIFO of Blocks: a ring of `capacity` slots allocated once,
+/// when the channel is wired, so moving a block in or out never allocates
+/// (a std::deque would allocate a node every 12 blocks, and nodes freed late
+/// pin freed block memory in the allocator's caches). A popped slot is left
+/// moved-from: it holds no sample buffer.
+class BlockFifo {
+ public:
+  explicit BlockFifo(std::size_t capacity) : slots_(capacity) {
+    FF_CHECK_MSG(capacity >= 1, "a block FIFO needs capacity >= 1");
+  }
+
+  std::size_t capacity() const { return slots_.size(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ == slots_.size(); }
+
+  /// Append a block (FF_CHECK: not full).
+  void push_back(Block&& block) {
+    FF_CHECK_MSG(!full(), "push on a full block FIFO (capacity " << capacity() << ")");
+    std::size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(block);
+    ++size_;
+  }
+
+  /// Remove and return the oldest block (FF_CHECK: not empty).
+  Block pop_front() {
+    FF_CHECK_MSG(!empty(), "pop on an empty block FIFO");
+    Block block = std::move(slots_[head_]);
+    if (++head_ == slots_.size()) head_ = 0;
+    --size_;
+    return block;
+  }
+
+ private:
+  std::vector<Block> slots_;
+  std::size_t head_ = 0;  // slot of the oldest block
+  std::size_t size_ = 0;
+};
+
 /// Bounded single-producer single-consumer FIFO connecting two ports.
 /// Capacity is in blocks; a full channel stalls the producer (backpressure),
 /// a closed channel tells the consumer no more blocks will ever arrive.
 struct Channel {
-  std::deque<Block> fifo;
-  std::size_t capacity = 8;
+  explicit Channel(std::size_t capacity) : fifo(capacity) {}
+
+  BlockFifo fifo;
   bool closed = false;
 
   // Occupancy bookkeeping for the stream.* telemetry.
@@ -53,7 +96,8 @@ struct Channel {
   std::size_t producer_port = 0;
   std::size_t consumer_port = 0;
 
-  bool full() const { return fifo.size() >= capacity; }
+  std::size_t capacity() const { return fifo.capacity(); }
+  bool full() const { return fifo.full(); }
   bool empty() const { return fifo.empty(); }
   /// Nothing queued and nothing coming: the consumer is finished with it.
   bool drained() const { return closed && fifo.empty(); }
@@ -171,10 +215,12 @@ class Element {
   bool in_available(std::size_t port) const { return !inputs_[port]->empty(); }
   /// Blocks currently queued on an input.
   std::size_t in_count(std::size_t port) const { return inputs_[port]->fifo.size(); }
+  /// Blocks an input can hold.
+  std::size_t in_capacity(std::size_t port) const { return inputs_[port]->capacity(); }
   /// Blocks an output can accept right now (0 when full or closed).
   std::size_t out_space(std::size_t port) const {
     const Channel& ch = *outputs_[port];
-    return ch.closed || ch.fifo.size() >= ch.capacity ? 0 : ch.capacity - ch.fifo.size();
+    return ch.closed ? 0 : ch.capacity() - ch.fifo.size();
   }
   /// Upstream closed and everything consumed: this input is finished.
   bool in_drained(std::size_t port) const { return inputs_[port]->drained(); }
@@ -321,6 +367,11 @@ class SinkBase : public Element {
 
  protected:
   virtual void consume(const Block& block) = 0;
+  /// Every popped block is handed over here, buffer included. The default
+  /// lets consume() read it and drops it; a sink that keeps what it is
+  /// handed (AccumulatorSink) overrides this to keep the buffer, not copy
+  /// it — as a Click element holds the Packet* it was pushed.
+  virtual void consume_owned(Block&& block) { consume(block); }
 
   /// Configure-time throttle change (Params key max_blocks_per_work).
   void set_max_blocks_per_work(std::size_t n) { max_blocks_per_work_ = n; }

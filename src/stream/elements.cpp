@@ -628,16 +628,36 @@ void AccumulatorSink::configure(const Params& p) {
 
 void AccumulatorSink::add_handlers(HandlerRegistry& h) {
   SinkBase::add_handlers(h);
-  h.add_read("samples", [this] { return std::to_string(samples_.size()); });
+  h.add_read("samples", [this] { return std::to_string(samples_seen_); });
   h.add_read("blocks", [this] { return std::to_string(blocks_seen_); });
 }
 
-void AccumulatorSink::consume(const Block& block) {
-  FF_CHECK_MSG(block.start == samples_.size(),
+void AccumulatorSink::consume(const Block& block) { consume_owned(Block(block)); }
+
+void AccumulatorSink::consume_owned(Block&& block) {
+  FF_CHECK_MSG(block.start == samples_seen_,
                name() << " received out-of-order block: starts at " << block.start
-                      << ", expected " << samples_.size());
-  samples_.insert(samples_.end(), block.samples.begin(), block.samples.end());
+                      << ", expected " << samples_seen_);
+  samples_seen_ += block.samples.size();
   ++blocks_seen_;
+  kept_.push_back(std::move(block.samples));
+}
+
+CVec AccumulatorSink::take() {
+  CVec out;
+  if (kept_.size() == 1) {
+    out = std::move(kept_.front());
+  } else {
+    std::size_t n = 0;
+    for (const CVec& b : kept_) n += b.size();
+    out.reserve(n);
+    for (CVec& b : kept_) {
+      out.insert(out.end(), b.begin(), b.end());
+      CVec().swap(b);
+    }
+  }
+  kept_ = {};
+  return out;
 }
 
 NullSink::NullSink(std::string name, std::size_t max_blocks_per_work)

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "channel/cfo.hpp"
 #include "channel/multipath.hpp"
@@ -415,9 +416,12 @@ class CancellerElement : public Combine2 {
 
 // ------------------------------------------------------------------ sinks
 
-/// Collects the stream back into one contiguous vector, asserting the
-/// blocks arrive in order and gap-free. `max_blocks_per_work` (see
-/// SinkBase) throttles consumption for backpressure tests.
+/// Collects the stream, asserting the blocks arrive in order and gap-free.
+/// It keeps each block's buffer as it is handed over, so memory grows one
+/// block at a time and no sample is copied per block; take() concatenates
+/// once. `max_blocks_per_work` (see SinkBase) throttles consumption for
+/// backpressure tests.
+/// Handlers: samples, blocks (read; running counts since construction).
 class AccumulatorSink : public SinkBase {
  public:
   explicit AccumulatorSink(std::string name, std::size_t max_blocks_per_work = 0);
@@ -425,16 +429,20 @@ class AccumulatorSink : public SinkBase {
   const char* class_name() const override { return "AccumulatorSink"; }
   void configure(const Params& params) override;
 
-  const CVec& samples() const { return samples_; }
-  CVec take() { return std::move(samples_); }
+  /// The samples kept since construction or the last take(), as one
+  /// vector, and empties the sink. Each block's buffer is freed as soon as
+  /// it is copied; a single kept block is returned as is.
+  CVec take();
   std::uint64_t blocks_seen() const { return blocks_seen_; }
 
  protected:
   void add_handlers(HandlerRegistry& handlers) override;
   void consume(const Block& block) override;
+  void consume_owned(Block&& block) override;
 
  private:
-  CVec samples_;
+  std::vector<CVec> kept_;         // one buffer per block, in stream order
+  std::uint64_t samples_seen_ = 0;  // where the next block must start
   std::uint64_t blocks_seen_ = 0;
 };
 

@@ -13,8 +13,7 @@ void Graph::connect(Element& from, std::size_t out_port, Element& to, std::size_
   FF_CHECK_MSG(capacity >= 1, "channel " << from.name() << " -> " << to.name()
                                          << " needs capacity >= 1 block");
   FF_CHECK_MSG(&from != &to, from.name() << " cannot connect to itself");
-  auto ch = std::make_unique<Channel>();
-  ch->capacity = capacity;
+  auto ch = std::make_unique<Channel>(capacity);
   ch->producer = &from;
   ch->consumer = &to;
   ch->producer_port = out_port;

@@ -23,7 +23,7 @@
 //                                           (touched only by consumer chain)
 //
 // The producer's worker drains origin→ring after running its elements; the
-// consumer's worker fills ring→stub before running its own. Each deque is
+// consumer's worker fills ring→stub before running its own. Each channel is
 // owned by exactly one thread, so elements never know which mode they run
 // under. When the origin closes and empties, the worker closes the ring;
 // when the ring drains, the consumer's worker closes the stub — end-of-
@@ -84,8 +84,11 @@ struct Bridge {
   std::size_t consumer_chain = 0;
 
   Bridge(Channel* ch, std::size_t ring_cap, std::size_t prod, std::size_t cons)
-      : origin(ch), ring(ring_cap), producer_chain(prod), consumer_chain(cons) {
-    stub.capacity = ch->capacity;
+      : origin(ch),
+        stub(ch->capacity()),
+        ring(ring_cap),
+        producer_chain(prod),
+        consumer_chain(cons) {
     stub.producer = ch->producer;
     stub.consumer = ch->consumer;
     stub.producer_port = ch->producer_port;
@@ -155,7 +158,7 @@ std::uint64_t Scheduler::run_throughput() {
       continue;
     }
     std::size_t cap = cfg_.ring_capacity;
-    if (cap == 0) cap = ch->capacity > cfg_.batch_size ? ch->capacity : cfg_.batch_size;
+    if (cap == 0) cap = ch->capacity() > cfg_.batch_size ? ch->capacity() : cfg_.batch_size;
     auto br = std::make_unique<Bridge>(ch.get(), cap, pc, cc);
     ch->consumer->inputs_[ch->consumer_port] = &br->stub;
     chains[pc].outbound.push_back(br.get());
@@ -195,8 +198,7 @@ std::uint64_t Scheduler::run_throughput() {
         // Fill: ring -> stub, so this chain's elements see fresh input.
         for (Bridge* br : chain.inbound) {
           Channel& stub = br->stub;
-          std::size_t space =
-              stub.fifo.size() >= stub.capacity ? 0 : stub.capacity - stub.fifo.size();
+          std::size_t space = stub.capacity() - stub.fifo.size();
           if (space > batch) space = batch;
           if (space > 0) {
             const std::size_t got = br->ring.try_pop_batch(space, [&](Block&& b) {
@@ -224,11 +226,8 @@ std::uint64_t Scheduler::run_throughput() {
           std::size_t n = origin.fifo.size();
           if (n > batch) n = batch;
           if (n > 0) {
-            const std::size_t pushed = br->ring.try_push_batch(n, [&] {
-              Block b = std::move(origin.fifo.front());
-              origin.fifo.pop_front();
-              return b;
-            });
+            const std::size_t pushed =
+                br->ring.try_push_batch(n, [&] { return origin.fifo.pop_front(); });
             if (pushed > 0) {
               transfers.fetch_add(pushed, std::memory_order_relaxed);
               moved = true;
@@ -331,10 +330,10 @@ std::uint64_t Scheduler::run_throughput() {
     for (const auto& br : bridges)
       os << " [" << br->origin->producer->name() << "->" << br->origin->consumer->name()
          << " chain" << br->producer_chain << "->chain" << br->consumer_chain
-         << ": origin " << br->origin->fifo.size() << "/" << br->origin->capacity
+         << ": origin " << br->origin->fifo.size() << "/" << br->origin->capacity()
          << ", ring " << br->ring.size() << "/" << br->ring.capacity()
          << (br->ring.closed() ? " closed" : "") << ", stub " << br->stub.fifo.size()
-         << "/" << br->stub.capacity << "]";
+         << "/" << br->stub.capacity() << "]";
     if (bridges.empty()) os << " (no rings: single chain holds the whole graph)";
     FF_CHECK_MSG(false, os.str());
   }

@@ -1,7 +1,7 @@
 // Lock-free single-producer single-consumer ring buffer: the channel
 // transport of the throughput-mode pipeline scheduler (scheduler.hpp).
 //
-// The reference scheduler moves blocks through plain deque channels because
+// The reference scheduler moves blocks through unsynchronized channels because
 // its level-barrier guarantees a channel's producer and consumer never run
 // concurrently. The pipeline scheduler drops that barrier — each element
 // chain runs on its own long-lived thread — so every chain-crossing edge

@@ -12,15 +12,17 @@
 //     sanctioned checksum change, docs/PERFORMANCE.md).
 //  3. Zero steady-state heap allocation in the streaming hot paths
 //     (ForwardPipeline::process_into, CancellerElement::cancel_into,
-//     ChannelElement's block path), in recording telemetry (a stream's
-//     per-block metrics, a timer's observations) and in the relay design's
-//     inner loops (a Nelder-Mead iteration, a CNF objective evaluation),
-//     asserted with a global operator-new hook.
+//     ChannelElement's block path, moving a block through a channel, and
+//     the sink keeping it without a copy), in recording telemetry (a
+//     stream's per-block metrics, a timer's observations) and in the relay
+//     design's inner loops (a Nelder-Mead iteration, a CNF objective
+//     evaluation), asserted with a global operator-new hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
@@ -44,16 +46,19 @@
 #include "stream/scheduler.hpp"
 
 // ------------------------------------------------------- operator-new hook
-// Every global allocation in this binary routes through alloc_count so the
-// zero-allocation tests can assert "no heap traffic between these lines".
-// All eight new variants and their deletes are replaced consistently
-// (malloc/posix_memalign + free), which keeps the sanitizer builds honest.
+// Every global allocation in this binary routes through alloc_count (and
+// its size through alloc_bytes) so the zero-allocation tests can assert
+// "no heap traffic between these lines". All eight new variants and their
+// deletes are replaced consistently (malloc/posix_memalign + free), which
+// keeps the sanitizer builds honest.
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 void* counted_alloc(std::size_t n, std::size_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (n == 0) n = 1;
   if (align > alignof(std::max_align_t)) {
     void* p = nullptr;
@@ -64,6 +69,7 @@ void* counted_alloc(std::size_t n, std::size_t align) {
 }
 
 std::uint64_t alloc_count() { return g_allocs.load(std::memory_order_relaxed); }
+std::uint64_t alloc_bytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -719,6 +725,80 @@ TEST(ZeroAllocation, MetricsAddNoAllocationsPerBlock) {
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.timers.size(), 4u);
   for (const auto& t : snap.timers) EXPECT_EQ(t.count, 4 * kN) << t.name;
+}
+
+struct AllocTally {
+  std::int64_t calls = 0;
+  std::int64_t bytes = 0;
+};
+
+/// Heap allocations (calls and bytes) made while building and running
+/// VectorSource -> [Queue ->] Sink over `blocks` 256-sample blocks, metrics
+/// off, in reference mode or in throughput mode with every element on its
+/// own chain.
+template <typename Sink>
+AllocTally allocs_for_sink_run(std::size_t blocks, bool queue, bool throughput) {
+  constexpr std::size_t kBlock = 256;
+  Rng rng(19);
+  CVec data(blocks * kBlock);
+  for (auto& v : data) v = rng.cgaussian();
+  const std::uint64_t calls0 = alloc_count();
+  const std::uint64_t bytes0 = alloc_bytes();
+  {
+    stream::Graph g;
+    auto* src = g.emplace<stream::VectorSource>("src", std::move(data), kBlock);
+    auto* sink = g.emplace<Sink>("sink");
+    if (queue) {
+      auto* q = g.emplace<stream::Queue>("q");
+      g.connect(*src, 0, *q, 0);
+      g.connect(*q, 0, *sink, 0);
+    } else {
+      g.connect(*src, 0, *sink, 0);
+    }
+    stream::SchedulerConfig cfg;
+    if (throughput) {
+      cfg.mode = stream::SchedulerMode::kThroughput;
+      cfg.threads = queue ? 3 : 2;
+      cfg.batch_size = 8;
+    }
+    stream::Scheduler(g, cfg).run();
+  }
+  return {static_cast<std::int64_t>(alloc_count() - calls0),
+          static_cast<std::int64_t>(alloc_bytes() - bytes0)};
+}
+
+TEST(ZeroAllocation, SinkKeepsBlocksWithoutCopyingSamples) {
+  // Differencing N and 2N blocks cancels the one-time costs. What the
+  // accumulating sink adds over the counting one per block is its block
+  // list (one 24-byte vector entry, doubled by growth) — not a copy of the
+  // block's 4 KB of samples.
+  constexpr std::int64_t kN = 64;
+  for (const bool throughput : {false, true}) {
+    const std::int64_t kept =
+        allocs_for_sink_run<stream::AccumulatorSink>(2 * kN, false, throughput).bytes -
+        allocs_for_sink_run<stream::AccumulatorSink>(kN, false, throughput).bytes;
+    const std::int64_t counted =
+        allocs_for_sink_run<stream::NullSink>(2 * kN, false, throughput).bytes -
+        allocs_for_sink_run<stream::NullSink>(kN, false, throughput).bytes;
+    EXPECT_LT(kept - counted, kN * 64)
+        << "AccumulatorSink allocated " << kept << " bytes per " << kN
+        << " blocks, NullSink " << counted << (throughput ? " (throughput)" : " (reference)");
+  }
+}
+
+TEST(ZeroAllocation, ChannelsMoveBlocksWithoutAllocating) {
+  // VectorSource -> Queue -> NullSink: the source's one buffer per block is
+  // the only allocation per block; the two channels (and in throughput
+  // mode the rings and stub channels bridging them) allocate only when
+  // they are set up.
+  constexpr std::int64_t kN = 64;
+  for (const bool throughput : {false, true}) {
+    const std::int64_t per_n =
+        allocs_for_sink_run<stream::NullSink>(2 * kN, true, throughput).calls -
+        allocs_for_sink_run<stream::NullSink>(kN, true, throughput).calls;
+    EXPECT_EQ(per_n, kN) << "allocations per " << kN << " blocks"
+                         << (throughput ? " (throughput)" : " (reference)");
+  }
 }
 
 TEST(ZeroAllocation, TimerObservationsAllocateNothingAfterTheFirst) {

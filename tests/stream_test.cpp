@@ -378,7 +378,7 @@ TEST(StreamGate, OpensOnSignatureAndIsBlockSizeInvariant) {
   Scheduler(g).run();
   ASSERT_TRUE(gate->decided());
   EXPECT_FALSE(gate->decision().has_value());
-  for (const Complex s : sink->samples()) ASSERT_EQ(s, Complex{});
+  for (const Complex s : sink->take()) ASSERT_EQ(s, Complex{});
 }
 
 // ------------------------------------------ composite graph, threads x bs
@@ -560,7 +560,7 @@ TEST(StreamThroughput, ChainCountClampsToGraphSize) {
   sc.threads = 16;  // graph has 2 elements
   sc.batch_size = 4;
   Scheduler(g, sc).run();
-  EXPECT_EQ(sink->samples(), x);
+  EXPECT_EQ(sink->take(), x);
 }
 
 TEST(StreamThroughput, BackpressureStillLossless) {
@@ -578,7 +578,7 @@ TEST(StreamThroughput, BackpressureStillLossless) {
   sc.threads = 3;  // one element per chain: both channels become bridges
   sc.batch_size = 4;
   Scheduler(g, sc).run();
-  EXPECT_EQ(sink->samples(), x);
+  EXPECT_EQ(sink->take(), x);
 }
 
 TEST(StreamThroughput, PropagatesElementErrorsAcrossChains) {
@@ -1027,7 +1027,7 @@ TEST(StreamBackpressure, BoundedQueueNeverDropsUnderSaturation) {
   Scheduler(g, sc).run();
 
   // Nothing dropped, nothing reordered, nothing duplicated.
-  EXPECT_EQ(sink->samples(), x);
+  EXPECT_EQ(sink->take(), x);
   // The producer genuinely hit backpressure...
   EXPECT_GT(src->stalls(), 0u);
   // ...and the bounded queues never exceeded their capacity.
@@ -1052,8 +1052,8 @@ TEST(StreamBackpressure, ThrottledSinkStillDrainsEverythingMultithreaded) {
     SchedulerConfig sc;
     sc.threads = threads;
     Scheduler(g, sc).run();
-    EXPECT_EQ(a->samples(), x) << "threads=" << threads;
-    EXPECT_EQ(b->samples(), x) << "threads=" << threads;
+    EXPECT_EQ(a->take(), x) << "threads=" << threads;
+    EXPECT_EQ(b->take(), x) << "threads=" << threads;
   }
 }
 
@@ -1075,7 +1075,117 @@ TEST(StreamRuntime, BlockFlagsMarkStreamEnds) {
   g.connect(*src, 0, *sink, 0);
   Scheduler(g).run();
   EXPECT_EQ(sink->blocks_seen(), 3u);  // 4 + 4 + 2
-  EXPECT_EQ(sink->samples().size(), 10u);
+  EXPECT_EQ(sink->take().size(), 10u);
+}
+
+// ------------------------------------------------------ sink and channels
+
+TEST(StreamSink, TakeEqualsTheBatchConcatenationInBothModes) {
+  // The sink keeps each block's buffer as it is handed over and
+  // concatenates once in take(). In throughput mode the source and the
+  // sink run on different chains, so every kept buffer was allocated on
+  // another thread and crossed a ring.
+  const CVec x = random_signal(5000, 41);
+  for (const std::size_t bs : kBlockSizes) {
+    for (const bool throughput : {false, true}) {
+      MetricsRegistry metrics;
+      Graph g;
+      auto* src = g.emplace<stream::VectorSource>("src", x, bs);
+      auto* sink = g.emplace<stream::AccumulatorSink>("sink");
+      g.connect(*src, 0, *sink, 0);
+      SchedulerConfig sc;
+      sc.metrics = &metrics;
+      if (throughput) {
+        sc.mode = stream::SchedulerMode::kThroughput;
+        sc.threads = 2;  // chains [src] and [sink]
+        sc.batch_size = 4;
+      }
+      Scheduler(g, sc).run();
+      const std::uint64_t blocks = (x.size() + bs - 1) / bs;
+      const std::string where =
+          "bs=" + std::to_string(bs) + (throughput ? " throughput" : " reference");
+      if (throughput) {
+        // A ring bridges the sink's input: the hand-off crossed threads.
+        EXPECT_GE(gauge_value(metrics.snapshot(), "stream.ring.sink.in0.depth_peak"), 1.0)
+            << where;
+      }
+      EXPECT_EQ(sink->blocks_seen(), blocks) << where;
+      EXPECT_EQ(sink->take(), x) << where;
+      EXPECT_TRUE(sink->take().empty()) << where;
+      // The read handlers are running counts; take() does not reset them.
+      EXPECT_EQ(g.handler("sink", "samples").read(), std::to_string(x.size())) << where;
+      EXPECT_EQ(g.handler("sink", "blocks").read(), std::to_string(blocks)) << where;
+    }
+  }
+}
+
+namespace {
+/// Stamps every block after the first `skip` samples later than it is: a
+/// stream with a gap.
+class GapElement : public stream::Transform {
+ public:
+  GapElement(std::string name, std::uint64_t skip)
+      : Transform(std::move(name)), skip_(skip) {}
+  const char* class_name() const override { return "Gap"; }
+
+ protected:
+  void process(Block& block) override {
+    if (block.start > 0) block.start += skip_;
+  }
+
+ private:
+  std::uint64_t skip_;
+};
+}  // namespace
+
+TEST(StreamSink, RejectsABlockThatSkipsAhead) {
+  Graph g;
+  auto* src = g.emplace<stream::VectorSource>("src", random_signal(256, 43), 64);
+  auto* gap = g.emplace<GapElement>("gap", 10);
+  auto* sink = g.emplace<stream::AccumulatorSink>("collector");
+  g.connect(*src, 0, *gap, 0);
+  g.connect(*gap, 0, *sink, 0);
+  try {
+    Scheduler(g).run();
+    FAIL() << "a gapped stream reached the end";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("collector received out-of-order block"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("starts at 74, expected 64"), std::string::npos) << what;
+  }
+}
+
+TEST(BlockFifo, WrapsAroundInOrderAndRefusesPushPastCapacity) {
+  const auto block_at = [](std::uint64_t start) {
+    Block b;
+    b.samples.assign(3, Complex{static_cast<double>(start), 0.0});
+    b.start = start;
+    return b;
+  };
+  stream::BlockFifo fifo(3);
+  EXPECT_EQ(fifo.capacity(), 3u);
+  EXPECT_TRUE(fifo.empty());
+  // Head and tail cross the end of the slot array several times.
+  std::uint64_t pushed = 0, popped = 0;
+  for (int round = 0; round < 5; ++round) {
+    while (!fifo.full()) fifo.push_back(block_at(pushed++));
+    EXPECT_EQ(fifo.size(), 3u);
+    EXPECT_THROW(fifo.push_back(block_at(99)), std::logic_error);
+    EXPECT_EQ(fifo.size(), 3u);
+    for (int i = 0; i < 2; ++i) {
+      const Block b = fifo.pop_front();
+      EXPECT_EQ(b.start, popped);
+      ASSERT_EQ(b.samples.size(), 3u);
+      EXPECT_EQ(b.samples[0], Complex(static_cast<double>(popped), 0.0));
+      ++popped;
+    }
+    EXPECT_EQ(fifo.size(), 1u);
+  }
+  EXPECT_EQ(fifo.pop_front().start, popped);
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_THROW(fifo.pop_front(), std::logic_error);
+  EXPECT_THROW(stream::BlockFifo(0), std::logic_error);
 }
 
 }  // namespace
