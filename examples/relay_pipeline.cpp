@@ -6,7 +6,8 @@
 //   2. The relay's PN correlator identifies the destination client.
 //   3. The self-interference cancellation stack is tuned (Gaussian probe).
 //   4. The forward pipeline (CFO remove -> CNF pre-filter -> CFO restore ->
-//      amplify -> analog rotation) produces the relayed signal.
+//      amplify -> analog rotation -> TX filter, run as the one FIR those
+//      stages compose to) produces the relayed signal.
 //   5. The client receives direct + relayed and decodes; compare SNR with
 //      and without the relay.
 //

@@ -27,14 +27,14 @@
 // latency and memory against overhead without touching the physics.
 //
 // --mode selects the scheduler: 'reference' runs the deterministic
-// level-parallel rounds, 'throughput' cuts the graph into pinned per-core
-// element chains connected by lock-free SPSC rings (--batch-size blocks per
-// transfer, --pin-cores to bind workers). Both produce the same samples;
-// throughput mode exists for rate, not physics.
+// level-parallel rounds, 'throughput' cuts the graph into element chains,
+// one worker thread each, connected by lock-free SPSC rings (--batch-size
+// blocks per transfer). Both produce the same samples; throughput mode
+// exists for rate, not physics.
 //
 // Usage: streaming_relay [--block-size N] [--duration S] [--backpressure B]
 //                        [--threads T] [--mode reference|throughput]
-//                        [--batch-size N] [--pin-cores]
+//                        [--batch-size N]
 //                        [--precision f64|f32]
 //                        [--graph session.ff] [--set elem.handler=value]...
 //                        [--dump-graph out.ff]
@@ -330,7 +330,6 @@ int main(int argc, char** argv) {
   if (stream_cli.is_throughput()) {
     sc.mode = stream::SchedulerMode::kThroughput;
     sc.batch_size = stream_cli.batch_size();
-    sc.pin_cores = stream_cli.pin_cores();
   }
   stream::Scheduler scheduler(g, sc);
   const std::uint64_t progress = scheduler.run();

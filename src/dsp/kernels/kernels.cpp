@@ -67,15 +67,6 @@ void Scalar<T>::fir(const C* h, std::size_t taps, const C* ext, C* y, std::size_
 }
 
 template <typename T>
-void Scalar<T>::scale(C alpha, const C* x, C* out, std::size_t n) {
-  const T ar = alpha.real(), ai = alpha.imag();
-  for (std::size_t i = 0; i < n; ++i) {
-    const T xr = x[i].real(), xi = x[i].imag();
-    out[i] = {xr * ar - xi * ai, xr * ai + xi * ar};
-  }
-}
-
-template <typename T>
 void Scalar<T>::scale_real(T alpha, const C* x, C* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     out[i] = {x[i].real() * alpha, x[i].imag() * alpha};
@@ -273,9 +264,6 @@ void fir(CSpan h, const Complex* ext, CMutSpan y, std::size_t stride) {
   check_fir(h, ext, y, stride);
   ops().fir(h.data(), h.size(), ext, y.data(), y.size(), stride);
 }
-void scale(Complex alpha, CSpan x, CMutSpan out) {
-  with_alpha(&Scalar<double>::scale, alpha, x, out);
-}
 void scale_real(double alpha, CSpan x, CMutSpan out) {
   FF_CHECK(x.size() == out.size());
   Scalar<double>::scale_real(alpha, x.data(), out.data(), x.size());
@@ -304,9 +292,6 @@ void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y) {
 void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y) {
   check_fir(h, ext, y, 1);
   ops().fir32(h.data(), h.size(), ext, y.data(), y.size());
-}
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out) {
-  with_alpha(&Scalar<float>::scale, alpha, x, out);
 }
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
   pairwise(ops().cmul32, x, phasors, out);

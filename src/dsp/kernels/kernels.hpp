@@ -15,7 +15,7 @@
 // The bitwise contract — the reason this layer can sit under the streaming
 // runtime's determinism guarantees:
 //
-//   * Elementwise kernels (cmul, axpy, scale, scale_real, rotate_phasor)
+//   * Elementwise kernels (cmul, axpy, scale_real, rotate_phasor)
 //     perform IDENTICAL per-element arithmetic in every ISA: the textbook
 //     complex product re = ar*br - ai*bi, im = ar*bi + ai*br, no FMA
 //     contraction (the kernel TUs are built -ffp-contract=off), no
@@ -69,15 +69,13 @@ void cmul(CSpan a, CSpan b, CMutSpan out);
 /// loop is its one caller in src/, and every FIR runs fir below.
 void axpy(Complex alpha, CSpan x, CMutSpan y);
 
-/// out[i] = alpha * x[i]. In-place allowed.
-void scale(Complex alpha, CSpan x, CMutSpan out);
-
 /// out[i] = alpha * x[i] with a real scalar (the inverse-FFT 1/N).
 void scale_real(double alpha, CSpan x, CMutSpan out);
 
-/// out[i] = x[i] * phasor[i]: apply a precomputed unit-phasor table (CFO
-/// rotate/restore). Same arithmetic as cmul; a distinct entry point because
-/// rotators are a named stage of the relay's forward path.
+/// out[i] = x[i] * phasor[i]: apply a precomputed unit-phasor table. Same
+/// arithmetic as cmul; a distinct entry point because it is
+/// channel::CfoRotator's one op (the Cfo stream element, the PHY receivers
+/// and the relay's restore_cfo=false ablation).
 void rotate_phasor(CSpan x, CSpan phasors, CMutSpan out);
 
 // ------------------------------------------------------------------------ FIR
@@ -115,7 +113,7 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 // ------------------------------------------------------------ float32 family
 // Overloads on the CSpan32/CMutSpan32 types (common/types.hpp) for the ops
 // the f32 forward path runs. cmul/rotate_phasor and fir have AVX2 bodies
-// at double the f64 lane count; axpy and scale run their scalar templates.
+// at double the f64 lane count; axpy runs its scalar template.
 // fir is stride 1 only: no f32 caller decimates. Same
 // bitwise contract — but the f32 family is its OWN checksum family: f32
 // results are deterministic across ISAs/blocks/threads yet numerically
@@ -125,7 +123,6 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
 void axpy(Complex32 alpha, CSpan32 x, CMutSpan32 y);
 void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y);
-void scale(Complex32 alpha, CSpan32 x, CMutSpan32 out);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
 
 // Precision edge conversion (scalar by design: one rounding per sample, the

@@ -44,7 +44,6 @@ struct Scalar {
   // y[i] = sum_k h[k] * ext[(taps - 1) + i * stride - k], k = 0..taps-1.
   static void fir(const C* h, std::size_t taps, const C* ext, C* y, std::size_t n,
                   std::size_t stride);
-  static void scale(C alpha, const C* x, C* out, std::size_t n);
   static void scale_real(T alpha, const C* x, C* out, std::size_t n);
   static C cdot_conj(const C* a, const C* b, std::size_t n);
   static T magsq_accum(const C* x, std::size_t n);

@@ -226,7 +226,7 @@ void StreamCli::register_options(Cli& cli) {
                  "throughput: pipeline chains; 0 = FF_THREADS / hardware)");
   cli.add_option("--mode", &mode_,
                  "scheduler: 'reference' (deterministic level rounds) or "
-                 "'throughput' (pinned pipeline chains over SPSC rings; "
+                 "'throughput' (pipeline chains on worker threads over SPSC rings; "
                  "same output, higher rate)");
   cli.add_option("--batch-size", &batch_size_,
                  "throughput mode: blocks moved per element pass and per "
@@ -235,9 +235,6 @@ void StreamCli::register_options(Cli& cli) {
                  "sample-path arithmetic: 'f64' (the accuracy reference) or "
                  "'f32' (the mixed-precision fast path — double the SIMD "
                  "lanes, ~-120 dB conversion noise, own checksum family)");
-  cli.add_flag("--pin-cores", &pin_cores_,
-               "throughput mode: pin each chain's worker to a core "
-               "(graceful no-op where unsupported)");
   cli.add_option("--graph", &graph_,
                  "build the session from this graph description file "
                  "(docs/STREAMING.md) instead of the built-in topology");

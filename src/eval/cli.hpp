@@ -190,7 +190,7 @@ bool parse_handler_write(const std::string& text, HandlerWrite& out);
 /// The streaming-runtime surface of examples/streaming_relay: how the
 /// session is blocked (--block-size), how long it runs (--duration), how
 /// deep the bounded queues are (--backpressure), which scheduler executes
-/// it (--mode, --batch-size, --pin-cores), the sample-path precision
+/// it (--mode, --batch-size), the sample-path precision
 /// (--precision), worker threads, the metrics sink, and the declarative
 /// surface (--graph file.ff, repeatable --set elem.handler=v).
 ///
@@ -201,7 +201,7 @@ bool parse_handler_write(const std::string& text, HandlerWrite& out);
 class StreamCli {
  public:
   /// Adds --block-size, --duration, --backpressure, --threads, --mode,
-  /// --batch-size, --precision, --pin-cores, --graph, --set, --metrics.
+  /// --batch-size, --precision, --graph, --set, --metrics.
   void register_options(Cli& cli);
 
   /// Range-check the parsed values (block size, queue capacity and batch
@@ -228,8 +228,6 @@ class StreamCli {
   bool is_f32() const { return precision_ == "f32"; }
   /// Throughput mode: blocks per work_batch pass and per ring transfer.
   std::size_t batch_size() const { return batch_size_; }
-  /// Throughput mode: pin chain workers to cores (no-op where unsupported).
-  bool pin_cores() const { return pin_cores_; }
 
   /// Graph description file to build the session from ("" = the host's
   /// hand-wired default topology).
@@ -252,7 +250,6 @@ class StreamCli {
   std::string mode_ = "reference";
   std::string precision_ = "f64";
   std::size_t batch_size_ = 8;
-  bool pin_cores_ = false;
   std::string graph_;
   std::vector<std::string> sets_;
   MetricsSink sink_;

@@ -13,32 +13,47 @@ namespace ff::relay {
 
 namespace {
 
-CVec tx_taps(const PipelineConfig& cfg) {
-  return cfg.tx_filter.empty() ? CVec{Complex{1.0, 0.0}} : cfg.tx_filter;
+// Validated before anything is built from it: the taps and the rotator.
+PipelineConfig validated(PipelineConfig cfg) {
+  FF_CHECK(!cfg.prefilter.empty());
+  FF_CHECK_MSG(std::isfinite(cfg.sample_rate_hz) && cfg.sample_rate_hz > 0.0,
+               "PipelineConfig.sample_rate_hz must be positive and finite, got "
+                   << cfg.sample_rate_hz);
+  FF_CHECK_MSG(std::isfinite(cfg.cfo_hz), "PipelineConfig.cfo_hz must be finite");
+  FF_CHECK_MSG(std::isfinite(cfg.gain_db), "PipelineConfig.gain_db must be finite");
+  FF_CHECK_MSG(std::isfinite(cfg.analog_rotation.real()) &&
+                   std::isfinite(cfg.analog_rotation.imag()),
+               "PipelineConfig.analog_rotation must be finite");
+  return cfg;
+}
+
+// h = [D zeros | g * ((p[k] * e^{+j w k}) (*) t)], pipeline.hpp's identity.
+// Each output tap sums its products with k ascending, from +0.
+CVec forward_taps(const PipelineConfig& cfg) {
+  const std::size_t delay =
+      cfg.extra_buffer_samples + (cfg.tx_filter.empty() ? cfg.adc_dac_delay_samples : 0);
+  const double w = cfg.restore_cfo
+                       ? std::remainder(kTwoPi * cfg.cfo_hz / cfg.sample_rate_hz, kTwoPi)
+                       : 0.0;
+  const Complex g = amplitude_from_db(cfg.gain_db) * cfg.analog_rotation;
+  const Complex one{1.0, 0.0};
+  const CSpan t = cfg.tx_filter.empty() ? CSpan{&one, 1} : CSpan{cfg.tx_filter};
+  CVec h(delay + cfg.prefilter.size() + t.size() - 1, Complex{});
+  for (std::size_t k = 0; k < cfg.prefilter.size(); ++k) {
+    const Complex q = cfg.prefilter[k] * std::polar(1.0, w * static_cast<double>(k));
+    for (std::size_t j = 0; j < t.size(); ++j) h[delay + k + j] += q * t[j];
+  }
+  for (std::size_t m = delay; m < h.size(); ++m) h[m] = g * h[m];
+  return h;
 }
 
 }  // namespace
 
 ForwardPipeline::ForwardPipeline(PipelineConfig cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(validated(std::move(cfg))),
       cfo_remove_(-cfg_.cfo_hz, cfg_.sample_rate_hz),
-      cfo_restore_(cfg_.restore_cfo ? cfg_.cfo_hz : 0.0, cfg_.sample_rate_hz),
-      f64_{dsp::FirFilter(cfg_.prefilter), dsp::FirFilter(tx_taps(cfg_)),
-           amplitude_from_db(cfg_.gain_db) * cfg_.analog_rotation},
-      f32_{dsp::FirFilter32(dsp::kernels::narrowed(cfg_.prefilter)),
-           dsp::FirFilter32(dsp::kernels::narrowed(tx_taps(cfg_))),
-           {static_cast<float>(f64_.gain_rotation.real()),
-            static_cast<float>(f64_.gain_rotation.imag())}},
-      delay_line_(std::max<std::size_t>(delay_fifo_len(), 1), Complex{}) {
-  FF_CHECK(!cfg_.prefilter.empty());
-  FF_CHECK_MSG(std::isfinite(cfg_.sample_rate_hz) && cfg_.sample_rate_hz > 0.0,
-               "PipelineConfig.sample_rate_hz must be positive and finite, got "
-                   << cfg_.sample_rate_hz);
-  FF_CHECK_MSG(std::isfinite(cfg_.cfo_hz), "PipelineConfig.cfo_hz must be finite");
-  FF_CHECK_MSG(std::isfinite(cfg_.gain_db), "PipelineConfig.gain_db must be finite");
-  FF_CHECK_MSG(std::isfinite(cfg_.analog_rotation.real()) &&
-                   std::isfinite(cfg_.analog_rotation.imag()),
-               "PipelineConfig.analog_rotation must be finite");
+      f64_{dsp::FirFilter(forward_taps(cfg_))},
+      f32_{dsp::FirFilter32(dsp::kernels::narrowed(f64_.fir.taps()))} {
   // A registry given at construction records what attaching it later would.
   set_metrics(std::exchange(cfg_.metrics, nullptr));
 }
@@ -56,13 +71,6 @@ void ForwardPipeline::set_metrics(MetricsRegistry* metrics) {
     metrics::set(cfg_.metrics, "ff.kernels.precision",
                  cfg_.precision == Precision::kF32 ? 32.0 : 64.0);
   }
-}
-
-std::size_t ForwardPipeline::delay_fifo_len() const {
-  // With a TX filter, the converter latency lives in the filter's group
-  // delay; only the artificial buffering remains a FIFO.
-  if (!cfg_.tx_filter.empty()) return cfg_.extra_buffer_samples;
-  return bulk_delay_samples();
 }
 
 double ForwardPipeline::max_delay_s() const {
@@ -96,19 +104,14 @@ void ForwardPipeline::process_into(CSpan rx, CMutSpan out) {
 
 template <typename T>
 void ForwardPipeline::run(CSpan rx, CMutSpan out, Lane<T>& lane) {
-  // Stage-wise over the block. Every stage is causal (sample i of a stage's
-  // output depends only on samples <= i of its input), so where the block
-  // boundaries fall moves no arithmetic and changes no bits.
-  //
   // Below double width the block converts once at the edges and stays
-  // narrow inside. Scrubbing and the FIFO run on the double-width values:
-  // the scrub test must see the original sample, and the FIFO is a pure
-  // shuffle after an exact widen(), so no arithmetic moves into f32.
+  // narrow inside. The scrub runs on the double-width values: its test must
+  // see the original sample.
   constexpr bool kNarrow = !std::is_same_v<T, double>;
   const std::size_t n = rx.size();
   std::span<std::complex<T>> buf;
   if constexpr (kNarrow)
-    buf = ws_.get<T>(1, n);  // slot 0 is per-stage scratch
+    buf = ws_.get<T>(1, n);  // slot 0 is the FIR's (and rotator's) scratch
   else
     buf = out;
   for (std::size_t i = 0; i < n; ++i) {
@@ -119,21 +122,9 @@ void ForwardPipeline::run(CSpan rx, CMutSpan out, Lane<T>& lane) {
     }
     buf[i] = {static_cast<T>(v.real()), static_cast<T>(v.imag())};
   }
-  cfo_remove_.process_into(buf, buf, ws_);
-  lane.prefilter.process_into(buf, buf, ws_);
-  cfo_restore_.process_into(buf, buf, ws_);
-  dsp::kernels::scale(lane.gain_rotation, buf, buf);
-  if (!cfg_.tx_filter.empty()) lane.tx_filter.process_into(buf, buf, ws_);
+  if (!cfg_.restore_cfo) cfo_remove_.process_into(buf, buf, ws_);
+  lane.fir.process_into(buf, buf, ws_);
   if constexpr (kNarrow) dsp::kernels::widen(buf, out);
-  if (delay_fifo_len() > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const Complex s = out[i];
-      out[i] = delay_line_[delay_pos_];
-      delay_line_[delay_pos_] = s;
-      ++delay_pos_;
-      if (delay_pos_ == delay_line_.size()) delay_pos_ = 0;
-    }
-  }
   if (cfg_.metrics && ws_.grows<T>() > lane.ws_grows_reported) {
     // Workspace growth only ever happens in the first blocks; a quiet
     // ff.alloc.workspace_grows (or _f32_grows) counter is the telemetry
@@ -150,13 +141,8 @@ void ForwardPipeline::run(CSpan rx, CMutSpan out, Lane<T>& lane) {
 
 void ForwardPipeline::reset() {
   cfo_remove_.reset();
-  cfo_restore_.reset();
-  f64_.prefilter.reset();
-  f64_.tx_filter.reset();
-  f32_.prefilter.reset();
-  f32_.tx_filter.reset();
-  std::fill(delay_line_.begin(), delay_line_.end(), Complex{});
-  delay_pos_ = 0;
+  f64_.fir.reset();
+  f32_.fir.reset();
   // A reset pipeline should report like a fresh one; leaving the scrub count
   // behind double-counted glitches across experiment repetitions.
   scrubbed_ = 0;

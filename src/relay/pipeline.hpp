@@ -1,19 +1,35 @@
 // Sample-level relay forward path (Sec. 4.1 + 4.3).
 //
-// Stages, in order, with their latency contribution at 20 Msps:
-//   ADC                      ~0.5 sample   (modelled within adc_dac_delay)
-//   CFO correction           0             (one complex multiply)
-//   causal digital cancel    0             (the Sec. 3.3 invention)
-//   digital CNF pre-filter   (taps-1) * Ts of delay spread
-//   CFO restore              0
-//   amplify                  0
-//   DAC                      ~0.5 sample
-//   analog CNF rotator       ~0.3 ns
+// After the canceller every stage is linear and time-invariant, so the
+// pipeline runs the whole path as one FIR whose taps are built once, in
+// double, at construction:
+//
+//   h = [D zeros | g * ((p[k] * e^{+j w k}) (*) t)]
+//
+// Stages, in order, with their latency at 20 Msps and their place in h:
+//   ADC                      ~0.5 sample   in D (adc_dac_delay)
+//   CFO correction           0             e^{-j w n}, folded into p
+//   causal digital cancel    0             (the Sec. 3.3 invention; upstream)
+//   digital CNF pre-filter   (taps-1) * Ts of delay spread: p
+//   CFO restore              0             e^{+j w n}, folded into p
+//   amplify                  0             |g| = amplitude_from_db(gain_db)
+//   DAC                      ~0.5 sample   in D, or t's group delay
+//   analog CNF rotator       ~0.3 ns       arg g (analog_rotation)
+//   TX filter                (taps-1)/2    t ([1] when tx_filter is empty)
+//   extra buffering          extra_buffer  in D
+//
+// D is adc_dac_delay + extra_buffer samples, or extra_buffer alone when a
+// TX filter carries the converter latency; BasicFirFilter skips the leading
+// zeros as an integer delay line. w = 2*pi*cfo/fs reduced into (-pi, pi],
+// the CfoRotator's own step.
 //
 // The CFO trick: the relay corrects the source's carrier offset for its own
 // processing, then re-applies it before transmission, so the destination
 // sees one consistent offset across the direct and relayed paths and its
-// own CFO correction still works.
+// own CFO correction still works. Remove, filter, restore is itself a
+// filter: x[n-k] e^{-j w (n-k)} p[k] e^{+j w n} = p[k] e^{+j w k} x[n-k].
+// The restore_cfo=false ablation keeps the removal only: a CfoRotator at
+// -cfo runs ahead of the same FIR built with w = 0.
 #pragma once
 
 #include "channel/cfo.hpp"
@@ -38,7 +54,7 @@ struct PipelineConfig {
   Complex analog_rotation{1.0, 0.0};       // analog CNF response at carrier
   double gain_db = 0.0;
   /// DAC reconstruction / TX low-pass filter. When non-empty it REPLACES
-  /// the plain ADC/DAC delay FIFO: its group delay ((taps-1)/2 samples)
+  /// the plain ADC/DAC delay (D above): its group delay ((taps-1)/2 samples)
   /// should equal adc_dac_delay_samples, since in real hardware those
   /// filters ARE where the converter latency lives. It is what keeps
   /// amplified out-of-band receiver noise from reaching the antenna.
@@ -55,12 +71,13 @@ struct PipelineConfig {
   /// process() counts forwarded samples. Default nullptr records nothing.
   MetricsRegistry* metrics = nullptr;
   /// Arithmetic precision of the forward path. kF32 converts each block to
-  /// float32 once on entry, runs the CFO/prefilter/gain/TX-filter stages on
-  /// the f32 kernel family (double the SIMD lanes), and widens once on exit
-  /// — the mixed-precision fast path (docs/PERFORMANCE.md, "The float32
-  /// family"). Taps and CFO phase recurrences stay double; only the sample
-  /// stream narrows. f32 output is deterministic (its own pinned checksum
-  /// family) but numerically distinct from kF64, the accuracy reference.
+  /// float32 once on entry, runs the forward FIR (and the ablation's CFO
+  /// rotator) on the f32 kernel family (double the SIMD lanes), and widens
+  /// once on exit — the mixed-precision fast path (docs/PERFORMANCE.md, "The
+  /// float32 family"). The taps are built in double and narrowed once, and
+  /// the CFO phase recurrence stays double; only the sample stream narrows.
+  /// f32 output is deterministic (its own pinned checksum family) but
+  /// numerically distinct from kF64, the accuracy reference.
   Precision precision = Precision::kF64;
 };
 
@@ -88,12 +105,13 @@ class ForwardPipeline {
   /// exactly rx.size() samples and may alias `rx`: the streaming runtime's
   /// allocation-free block path. Metrics accounting matches process().
   ///
-  /// Runs stage-wise over the block (scrub, CFO remove, prefilter, CFO
-  /// restore, gain+rotation, TX filter, delay FIFO). The stages are causal,
-  /// so the output is bit-identical at any block size, down to one sample
-  /// (tests/stream_test.cpp pins that). Scratch comes from the
-  /// pipeline-owned Workspace; after warmup no heap allocation happens here
-  /// (`ff.alloc.*` telemetry and tests/kernels_test.cpp hold that).
+  /// Runs two sweeps over the block: the scrub, then the one forward FIR
+  /// (h above; the restore_cfo=false ablation rotates by -cfo in between).
+  /// Both are causal, so the output is bit-identical at any block size,
+  /// down to one sample (tests/relay_test.cpp and tests/stream_test.cpp pin
+  /// that). Scratch comes from the pipeline-owned Workspace; after warmup no
+  /// heap allocation happens here (`ff.alloc.*` telemetry and
+  /// tests/kernels_test.cpp hold that).
   void process_into(CSpan rx, CMutSpan out);
 
   /// Non-finite input samples zeroed so far (see PipelineConfig::scrub_nonfinite).
@@ -107,37 +125,30 @@ class ForwardPipeline {
   /// (no double-counted instances).
   void set_metrics(MetricsRegistry* metrics);
 
-  /// Return to the freshly-constructed state: clears every delay line, both
-  /// CFO phases, and the scrubbed-sample count.
+  /// Return to the freshly-constructed state: clears the FIR delay lines,
+  /// the ablation rotator's phase, and the scrubbed-sample count.
   void reset();
 
  private:
-  // The stages that hold samples at the forward path's arithmetic width T.
-  // Both widths are built at construction (a one-time tap narrow), so
+  // The forward FIR at the path's arithmetic width T. Both widths are built
+  // at construction (the f32 taps are the f64 ones narrowed once), so
   // precision never changes filter state layout; cfg_.precision picks the
   // one that runs.
   template <typename T>
   struct Lane {
-    dsp::BasicFirFilter<T> prefilter;
-    dsp::BasicFirFilter<T> tx_filter;
-    std::complex<T> gain_rotation;  // gain * analog_rotation, precomputed
+    dsp::BasicFirFilter<T> fir;
     std::uint64_t ws_grows_reported = 0;  // ff.alloc.* telemetry watermark
   };
-
-  std::size_t delay_fifo_len() const;
 
   template <typename T>
   void run(CSpan rx, CMutSpan out, Lane<T>& lane);
 
   PipelineConfig cfg_;
-  channel::CfoRotator cfo_remove_;
-  channel::CfoRotator cfo_restore_;
+  channel::CfoRotator cfo_remove_;  // runs only when !cfg_.restore_cfo
   Lane<double> f64_;
   Lane<float> f32_;
-  CVec delay_line_;      // bulk delay FIFO
-  std::size_t delay_pos_ = 0;
   std::uint64_t scrubbed_ = 0;
-  dsp::kernels::Workspace ws_;  // shared scratch for all block stages
+  dsp::kernels::Workspace ws_;  // shared scratch for the block sweeps
 };
 
 }  // namespace ff::relay

@@ -162,9 +162,10 @@ class CfoElement : public Transform {
   dsp::kernels::Workspace ws_;  // f32 narrow/widen + phasor scratch
 };
 
-/// The relay's forward path (relay::ForwardPipeline) as a stream stage:
-/// CFO remove -> digital CNF -> CFO restore -> amplify -> analog CNF ->
-/// TX filter / bulk delay, all stateful across blocks.
+/// The relay's forward path (relay::ForwardPipeline) as a stream stage: the
+/// paper's CFO remove -> digital CNF -> CFO restore -> amplify -> analog
+/// CNF -> TX filter / bulk delay, run as the one FIR those stages compose
+/// to (taps built from the params at configure), stateful across blocks.
 /// Params: rate, adc_dac_delay, extra_buffer, cfo_hz, restore_cfo,
 /// prefilter (complex list), analog_rotation, gain_db, tx_filter
 /// (complex list), scrub_nonfinite, precision (f64 | f32 — the

@@ -4,11 +4,11 @@
 // element waits for the slowest level before anyone sees the next block.
 // This mode removes the barrier. The validated graph's topological order is
 // cut into `threads` contiguous chains; each chain gets one long-lived
-// worker thread (optionally pinned to a core) that loops over its own
-// elements forever, and every chain-crossing channel is bridged by a
-// lock-free SPSC ring (ring.hpp). Blocks stream down the pipeline with no
-// global synchronization — the only cross-thread traffic is the ring's
-// acquire/release index pair per batch.
+// worker thread that loops over its own elements forever, and every
+// chain-crossing channel is bridged by a lock-free SPSC ring (ring.hpp).
+// Blocks stream down the pipeline with no global synchronization — the
+// only cross-thread traffic is the ring's acquire/release index pair per
+// batch.
 //
 // Bridging keeps the Element API untouched. A crossing channel
 // producer→consumer is split into three single-threaded pieces:
@@ -63,7 +63,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/affinity.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "stream/ring.hpp"
@@ -177,7 +176,7 @@ std::uint64_t Scheduler::run_throughput() {
 
   std::atomic<bool> abort{false};
   std::atomic<std::uint64_t> progress{0};   // bumped on any chain progress
-  std::atomic<std::uint64_t> transfers{0};  // blocks moved across rings
+  std::atomic<std::uint64_t> transfers{0};  // blocks pushed into rings
   std::atomic<std::size_t> done{0};         // workers that have returned
   // Guards the changes the watchdog waits for (a retirement, an abort), so
   // its wait cannot miss the notification.
@@ -187,7 +186,6 @@ std::uint64_t Scheduler::run_throughput() {
   const std::size_t batch = cfg_.batch_size;
 
   auto chain_loop = [&](std::size_t c) {
-    if (cfg_.pin_cores) pin_current_thread_to_core(c);
     Chain& chain = chains[c];
     SpinBackoff backoff;
     try {
@@ -207,7 +205,6 @@ std::uint64_t Scheduler::run_throughput() {
             if (got > 0) {
               stub.blocks_total += got;
               if (stub.fifo.size() > stub.depth_peak) stub.depth_peak = stub.fifo.size();
-              transfers.fetch_add(got, std::memory_order_relaxed);
               moved = true;
             }
           }
@@ -229,6 +226,8 @@ std::uint64_t Scheduler::run_throughput() {
             const std::size_t pushed =
                 br->ring.try_push_batch(n, [&] { return origin.fifo.pop_front(); });
             if (pushed > 0) {
+              // Each bridged block counts once, here: the pop on the
+              // consumer's side moves the same block on.
               transfers.fetch_add(pushed, std::memory_order_relaxed);
               moved = true;
             }

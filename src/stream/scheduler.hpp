@@ -1,5 +1,5 @@
 // Schedulers for element graphs: a deterministic reference mode and a
-// pinned-pipeline throughput mode over the same Graph.
+// pipelined throughput mode over the same Graph.
 //
 // Reference (SchedulerMode::kReference) — execution proceeds in rounds.
 // Within a round every level of the graph is visited in topological order
@@ -14,8 +14,8 @@
 //
 // Throughput (SchedulerMode::kThroughput) — the graph is partitioned into
 // contiguous element chains (contiguous cuts of the topological order), and
-// each chain runs on its own long-lived worker thread (optionally pinned to
-// a core). Chain-crossing channels are bridged by lock-free SPSC rings
+// each chain runs on its own long-lived worker thread, placed by the OS.
+// Chain-crossing channels are bridged by lock-free SPSC rings
 // (ring.hpp), so blocks flow end to end with no global barrier: while chain
 // 0 generates block k, chain 1 filters block k-1 and chain 2 decodes block
 // k-2. Elements run their work_batch() path, and rings transfer up to
@@ -47,7 +47,7 @@ namespace ff::stream {
 
 enum class SchedulerMode {
   kReference,   ///< deterministic level-parallel rounds (the bit-exact baseline)
-  kThroughput,  ///< pinned per-core element chains over lock-free SPSC rings
+  kThroughput,  ///< element chains, one worker thread each, over lock-free SPSC rings
 };
 
 struct SchedulerConfig {
@@ -70,9 +70,6 @@ struct SchedulerConfig {
   /// 1 = no batching. Larger batches amortize per-block overhead at the
   /// cost of pipeline latency; output samples never change.
   std::size_t batch_size = 1;
-  /// Throughput mode: pin chain k's worker to visible core k (mod core
-  /// count) via common/affinity. Graceful no-op where unsupported.
-  bool pin_cores = false;
   /// Throughput mode: minimum SPSC ring capacity in blocks (rounded up to
   /// a power of two). 0 = derived per bridge from the bridged channel's
   /// capacity and batch_size.

@@ -114,7 +114,6 @@ TEST(StreamCli, DefaultsAreValid) {
   EXPECT_EQ(stream.mode(), "reference");
   EXPECT_FALSE(stream.is_throughput());
   EXPECT_EQ(stream.batch_size(), 8u);
-  EXPECT_FALSE(stream.pin_cores());
   EXPECT_EQ(stream.metrics(), nullptr);  // no --metrics = no-op telemetry
 }
 
@@ -130,9 +129,8 @@ TEST(StreamCli, ParsesAllKnobs) {
   char arg5[] = "--threads=4";
   char arg6[] = "--mode=throughput";
   char arg7[] = "--batch-size=16";
-  char arg8[] = "--pin-cores";
-  char* argv[] = {arg0, arg1, arg2, arg3, arg4, arg5, arg6, arg7, arg8};
-  ASSERT_TRUE(cli.parse(9, argv));
+  char* argv[] = {arg0, arg1, arg2, arg3, arg4, arg5, arg6, arg7};
+  ASSERT_TRUE(cli.parse(8, argv));
   EXPECT_TRUE(stream.validate());
   EXPECT_EQ(stream.block_size(), 64u);
   EXPECT_DOUBLE_EQ(stream.duration_s(), 1e-3);
@@ -141,7 +139,6 @@ TEST(StreamCli, ParsesAllKnobs) {
   EXPECT_EQ(stream.mode(), "throughput");
   EXPECT_TRUE(stream.is_throughput());
   EXPECT_EQ(stream.batch_size(), 16u);
-  EXPECT_TRUE(stream.pin_cores());
 }
 
 TEST(StreamCli, ValidateRejectsDegenerateValues) {

@@ -279,22 +279,6 @@ void check_fir(std::initializer_list<std::size_t> strides) {
   }
 }
 
-// The textbook product: re = ar*br - ai*bi, im = ar*bi + ai*br.
-template <typename T>
-void check_scale() {
-  const std::complex<T> alpha{static_cast<T>(-0.2), static_cast<T>(2.5)};
-  for_each_shape<T>([&](Span<T> a, Span<T>, std::size_t n) {
-    Vec<T> got(n), want(n);
-    k::scale(alpha, a, got);
-    const T br = alpha.real(), bi = alpha.imag();
-    for (std::size_t i = 0; i < n; ++i) {
-      const T ar = a[i].real(), ai = a[i].imag();
-      want[i] = {ar * br - ai * bi, ar * bi + ai * br};
-    }
-    EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n;
-  });
-}
-
 void check_scale_real() {
   const double alpha = 1.0 / 64.0;
   for_each_shape<double>([&](CSpan a, CSpan, std::size_t n) {
@@ -393,7 +377,6 @@ void check_radix_stage(std::size_t radix) {
 TEST(KernelsBitwise, CmulMatchesScalar) { check_cmul<double>(); }
 TEST(KernelsBitwise, AxpyMatchesScalar) { check_axpy<double>(); }
 TEST(KernelsBitwise, FirMatchesScalar) { check_fir<double>({1, 2, 3, 4, 5}); }
-TEST(KernelsBitwise, ScaleMatchesScalar) { check_scale<double>(); }
 TEST(KernelsBitwise, ScaleRealMatchesScalar) { check_scale_real(); }
 TEST(KernelsBitwise, RotatePhasorMatchesScalar) { check_rotate_phasor<double>(); }
 TEST(KernelsBitwise, CdotConjMatchesScalar) { check_cdot_conj(); }
@@ -404,7 +387,6 @@ TEST(KernelsBitwise, Radix4StageMatchesScalar) { check_radix_stage(4); }
 TEST(KernelsBitwiseF32, CmulMatchesScalar) { check_cmul<float>(); }
 TEST(KernelsBitwiseF32, AxpyMatchesScalar) { check_axpy<float>(); }
 TEST(KernelsBitwiseF32, FirMatchesScalar) { check_fir<float>({1}); }
-TEST(KernelsBitwiseF32, ScaleMatchesScalar) { check_scale<float>(); }
 TEST(KernelsBitwiseF32, RotatePhasorMatchesScalar) { check_rotate_phasor<float>(); }
 
 // Convert-at-the-edges exactness: widen is exact (every float is a double),

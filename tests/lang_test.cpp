@@ -527,7 +527,7 @@ TEST(LangChecksum, TextBuiltSessionMatchesPinnedChecksumBothModes) {
   // The exact constant stream_test pins for the hand-wired session. The
   // text path — serialize, parse, registry construction, configure() —
   // must land on the same bytes.
-  constexpr std::uint64_t kChecksum = 0x5976A3D74B77B0C8ULL;
+  constexpr std::uint64_t kChecksum = 0x1179AD8BF8201EEFULL;
   const RelaySession s = make_relay_session(/*max_packets=*/SIZE_MAX);
 
   SchedulerConfig reference;

@@ -3,14 +3,17 @@
 // forward pipeline and the channel book.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string_view>
 
+#include "channel/cfo.hpp"
 #include "channel/multipath.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "dsp/fir.hpp"
 #include "dsp/noise.hpp"
 #include "phy/params.hpp"
 #include "relay/amplification.hpp"
@@ -504,15 +507,128 @@ TEST(Pipeline, CfoRemoveRestoreRoundTrips) {
 
   Rng rng(8);
   const CVec x = dsp::awgn(rng, 200, 1.0);
-  const CVec y1 = with_cfo.process(x);
-  const CVec y2 = without.process(x);
-  // Remove-then-restore at the same rate is a fixed phase offset (from the
-  // one-sample pipeline delay), not a frequency shift.
-  Complex ratio_acc{0.0, 0.0};
-  for (std::size_t i = 5; i < 200; ++i) ratio_acc += y1[i] / y2[i];
-  ratio_acc /= 195.0;
-  for (std::size_t i = 5; i < 200; ++i)
-    EXPECT_NEAR(std::abs(y1[i] / y2[i] - ratio_acc), 0.0, 1e-6);
+  // Remove, filter, restore is the filter p[k] * e^{+j w k} (Sec. 4.1). With
+  // the default one-tap prefilter that is p[0] * e^0 = p[0]: the CFO drops
+  // out of the forward path entirely, so the relay forwards the same bits
+  // with and without it.
+  EXPECT_TRUE(same_bits(with_cfo.process(x), without.process(x)));
+}
+
+// The paper's forward path written out stage by stage (Sec. 4.1): CFO
+// remove, the CNF prefilter, CFO restore (at 0 Hz for the ablation), the
+// complex gain, the TX filter, then the bulk-delay FIFO. ForwardPipeline
+// runs all of it as one FIR; this is the reference it is held to.
+CVec staged_forward_path(const relay::PipelineConfig& cfg, CSpan x) {
+  channel::CfoRotator remove(-cfg.cfo_hz, cfg.sample_rate_hz);
+  dsp::FirFilter prefilter(cfg.prefilter);
+  channel::CfoRotator restore(cfg.restore_cfo ? cfg.cfo_hz : 0.0, cfg.sample_rate_hz);
+  CVec y = restore.process(prefilter.process(remove.process(x)));
+  const Complex g = amplitude_from_db(cfg.gain_db) * cfg.analog_rotation;
+  for (auto& v : y) v = g * v;
+  if (!cfg.tx_filter.empty()) y = dsp::FirFilter(cfg.tx_filter).process(y);
+  const std::size_t fifo =
+      cfg.extra_buffer_samples + (cfg.tx_filter.empty() ? cfg.adc_dac_delay_samples : 0);
+  CVec out(y.size(), Complex{});
+  for (std::size_t i = fifo; i < y.size(); ++i) out[i] = y[i - fifo];
+  return out;
+}
+
+// The relay session's Pipeline (examples/relay.ff), rounded: 80 Msps, the
+// 4-tap CNF prefilter, its analog rotation and 91.6 dB of gain.
+relay::PipelineConfig session_pipeline_config() {
+  relay::PipelineConfig cfg;
+  cfg.sample_rate_hz = 80e6;
+  cfg.adc_dac_delay_samples = 4;
+  cfg.cfo_hz = 4036.5;
+  cfg.prefilter = CVec{{-2.5936, -2.5016}, {2.8555, 2.6248}, {1.1545, 1.0548}, {-1.7252, -1.5586}};
+  cfg.analog_rotation = Complex{0.14075, -0.47292};
+  cfg.gain_db = 91.5628;
+  cfg.tx_filter = dsp::design_lowpass(9, 0.17);
+  return cfg;
+}
+
+CVec run_in_blocks(relay::ForwardPipeline& pipe, CSpan x, std::size_t block) {
+  CVec out(x.size());
+  for (std::size_t i = 0; i < x.size(); i += block) {
+    const std::size_t n = std::min(block, x.size() - i);
+    pipe.process_into(x.subspan(i, n), CMutSpan{out}.subspan(i, n));
+  }
+  return out;
+}
+
+TEST(Pipeline, OneFirMatchesTheStagedForwardPath) {
+  Rng rng(27);
+  CVec x(3000);
+  for (auto& v : x) v = rng.cgaussian();
+  const double fs = 80e6;
+  for (const bool restore_cfo : {true, false}) {
+    for (const bool tx : {false, true}) {
+      for (const std::size_t extra : {std::size_t{0}, std::size_t{8}, std::size_t{40}}) {
+        for (const double cfo : {0.0, 4036.5, 40e3, fs + 31.4e3}) {
+          relay::PipelineConfig cfg = session_pipeline_config();
+          cfg.restore_cfo = restore_cfo;
+          if (!tx) cfg.tx_filter.clear();
+          cfg.extra_buffer_samples = extra;
+          cfg.cfo_hz = cfo;
+          const CVec want = staged_forward_path(cfg, x);
+          const CVec got = relay::ForwardPipeline(cfg).process(x);
+          double err = 0.0, ref = 0.0;
+          for (std::size_t i = 0; i < x.size(); ++i) {
+            err += std::norm(got[i] - want[i]);
+            ref += std::norm(want[i]);
+          }
+          EXPECT_LE(10.0 * std::log10(err / ref), -250.0)
+              << "restore_cfo=" << restore_cfo << " tx=" << tx << " extra=" << extra
+              << " cfo=" << cfo;
+        }
+      }
+    }
+  }
+
+  // The D leading zero taps are an integer delay line: the pipeline equals
+  // the same FIR without them followed by a D-sample shift, bit for bit,
+  // and a scrubbed NaN reaches neither.
+  CVec glitch(x.begin(), x.begin() + 600);
+  glitch[100] = Complex{std::numeric_limits<double>::quiet_NaN(), 0.0};
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    for (const bool restore_cfo : {true, false}) {
+      relay::PipelineConfig cfg = session_pipeline_config();
+      cfg.tx_filter.clear();
+      cfg.restore_cfo = restore_cfo;
+      cfg.precision = precision;
+      cfg.extra_buffer_samples = 40;
+      relay::ForwardPipeline delayed(cfg);
+      const std::size_t d = delayed.bulk_delay_samples();
+      cfg.adc_dac_delay_samples = 0;
+      cfg.extra_buffer_samples = 0;
+      relay::ForwardPipeline undelayed(cfg);
+      const CVec got = delayed.process(glitch);
+      const CVec fir = undelayed.process(glitch);
+      CVec want(glitch.size(), Complex{});
+      std::copy(fir.begin(), fir.end() - static_cast<std::ptrdiff_t>(d),
+                want.begin() + static_cast<std::ptrdiff_t>(d));
+      EXPECT_EQ(delayed.scrubbed_samples(), 1u);
+      EXPECT_TRUE(same_bits(got, want))
+          << to_string(precision) << " restore_cfo=" << restore_cfo;
+    }
+  }
+
+  // Both sweeps are causal, so where the block boundaries fall moves no bit.
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    for (const bool restore_cfo : {true, false}) {
+      relay::PipelineConfig cfg = session_pipeline_config();
+      cfg.restore_cfo = restore_cfo;
+      cfg.precision = precision;
+      cfg.extra_buffer_samples = 8;
+      const CVec whole = relay::ForwardPipeline(cfg).process(x);
+      for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+        relay::ForwardPipeline pipe(cfg);
+        EXPECT_TRUE(same_bits(run_in_blocks(pipe, x, block), whole))
+            << to_string(precision) << " restore_cfo=" << restore_cfo
+            << " block=" << block;
+      }
+    }
+  }
 }
 
 TEST(Pipeline, MaxDelayAccountsPrefilterSpread) {

@@ -494,7 +494,7 @@ CVec run_socket_relay(const RelaySession& s, const CVec& input,
 TEST(SocketRelay, SessionChecksumPinnedAcrossFrameSizesAndModes) {
   // The exact constant the fully in-process graph pins
   // (tests/stream_test.cpp).
-  constexpr std::uint64_t kChecksum = 0x5976A3D74B77B0C8ULL;
+  constexpr std::uint64_t kChecksum = 0x1179AD8BF8201EEFULL;
   const RelaySession session = make_relay_session();
   const CVec input = capture_source(session);
   ASSERT_EQ(input.size(), 399360u);
