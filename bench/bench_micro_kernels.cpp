@@ -456,8 +456,10 @@ BENCHMARK(BM_ViterbiDecode);
 // ---- random draws. The engine under every Rng against std::mt19937_64
 // (the same words, one per item), then the complex normal each caller adds
 // per sample (one per item): cgaussian is std::normal_distribution (link
-// synthesis, dsp::awgn), cgaussian_zig the ziggurat the f64 stream channel
-// adds, cgaussian32 its float narrowing, the f32 channel's.
+// synthesis, dsp::awgn), cgaussian_zig the ziggurat, cgaussian32 its float
+// narrowing. The Block rows add the same ziggurat draws 1,024 complex
+// samples at a time, as the stream channel does at f64 and f32
+// (dsp::add_cgaussian_zig).
 
 template <typename Engine>
 void draw_words(benchmark::State& state, Engine& engine) {
@@ -510,6 +512,30 @@ void BM_CGaussian32(benchmark::State& state) {
   add_noise<CVec32>(state, [&] { return rng.cgaussian32(1e-3f); });
 }
 BENCHMARK(BM_CGaussian32);
+
+template <typename Vec, typename AddBlock>
+void add_noise_block(benchmark::State& state, AddBlock add_block) {
+  Vec y(1024);
+  for (auto _ : state) {
+    add_block(y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(y.size()));
+}
+
+void BM_CGaussianZigBlock(benchmark::State& state) {
+  Rng rng(7);
+  add_noise_block<CVec>(state, [&](CVec& y) { dsp::add_cgaussian_zig(rng, y, 1e-3); });
+}
+BENCHMARK(BM_CGaussianZigBlock);
+
+void BM_CGaussian32Block(benchmark::State& state) {
+  Rng rng(7);
+  add_noise_block<CVec32>(state, [&](CVec32& y) { dsp::add_cgaussian_zig(rng, y, 1e-3f); });
+}
+BENCHMARK(BM_CGaussian32Block);
 
 // ---- closed forms kept off the per-sample path. The CFO rotator at both
 // widths on the relay's 4096-sample block (one phasor recurrence, one

@@ -12,9 +12,14 @@
 //   dsp::awgn draw from them; several tests are tuned to those exact draws,
 //   so they keep their algorithm.
 // - cgaussian_zig() is a 256-layer ziggurat, about four times cheaper per
-//   complex sample. The stream Channel element adds its per-sample noise
-//   with it in both precisions: cgaussian32() is its narrowing, so an f32
-//   channel adds the f64 channel's noise rounded to float.
+//   complex sample. cgaussian32() is its narrowing, so an f32 draw is the
+//   f64 draw rounded to float. The stream Channel element adds the same
+//   draws a block at a time, in both precisions, through
+//   dsp::add_cgaussian_zig (dsp/noise.hpp): it runs the ziggurat's one-word
+//   fast path as a kernel op over Mt19937_64::pending() words and leaves
+//   every rejected word to Ziggurat::operator(), so it adds bit for bit
+//   what a cgaussian_zig() / cgaussian32() loop adds and leaves the engine
+//   on the same next word.
 #pragma once
 
 #include <array>
@@ -22,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string_view>
 
 #include "common/check.hpp"
@@ -63,11 +69,31 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (next_ >= kN) twist();
-    result_type z = state_[next_++];
+    return temper(state_[next_++]);
+  }
+
+  /// The output transform applied to each state word as it is drawn.
+  static constexpr result_type temper(result_type z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
     z ^= (z << 37) & 0xFFF7EEE000000000ULL;
     return z ^ (z >> 43);
+  }
+
+  /// The untempered state words the next draws will temper, in draw order:
+  /// the rest of the current twist, twisting first when it is spent, so
+  /// the span is never empty. A block draw tempers them itself and then
+  /// marks the ones it used with mark_drawn().
+  std::span<const result_type> pending() {
+    if (next_ >= kN) twist();
+    return {state_.data() + next_, kN - next_};
+  }
+
+  /// Marks the first n words of pending() drawn: the engine then stands
+  /// where n calls of operator() would have left it.
+  void mark_drawn(std::size_t n) {
+    FF_CHECK_MSG(n <= kN - next_, "Mt19937_64::mark_drawn past the pending words");
+    next_ += n;
   }
 
  private:
@@ -98,6 +124,8 @@ class Mt19937_64 {
 /// whose area beyond x[1] = r is the tail. Every layer has area v.
 class Ziggurat {
  public:
+  static constexpr std::size_t kLayers = 256;
+
   static const Ziggurat& tables() {
     static const Ziggurat z;
     return z;
@@ -122,8 +150,11 @@ class Ziggurat {
     }
   }
 
+  /// The layer half-widths x[0..256] (x[1] = r, x[256] = 0): the table
+  /// the fast path reads, x[i] to form z and x[i + 1] to test it.
+  const std::array<double, kLayers + 1>& layers() const { return x_; }
+
  private:
-  static constexpr std::size_t kLayers = 256;
   static constexpr double kR = 3.6541528853610088;
   static constexpr double kV = 0.00492867323399;
 

@@ -17,8 +17,18 @@ double sinc(double x) {
 
 }  // namespace
 
+double max_fractional_delay(std::size_t half_width) {
+  return static_cast<double>(CVec().max_size() - half_width - 2);
+}
+
 CVec design_fractional_delay(double delay_samples, std::size_t half_width) {
   FF_CHECK_MSG(delay_samples >= 0.0, "delay must be non-negative");
+  // Checked before the cast: a delay past size_t's range would convert to
+  // an unrelated index (undefined behavior), and one past a CVec's length
+  // has no filter.
+  FF_CHECK_MSG(delay_samples <= max_fractional_delay(half_width),
+               "delay of " << delay_samples << " samples is longer than a filter can be ("
+                           << max_fractional_delay(half_width) << " samples)");
   const auto int_delay = static_cast<std::size_t>(std::floor(delay_samples));
   const double frac = delay_samples - static_cast<double>(int_delay);
 

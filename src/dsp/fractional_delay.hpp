@@ -17,10 +17,15 @@ namespace ff::dsp {
 /// Design a real-coefficient fractional-delay filter.
 ///
 /// The returned taps implement a total delay of `delay_samples` (may be
-/// non-integer, must be >= 0). The integer part shifts the filter peak, the
-/// fractional part comes from a Hamming-windowed sinc of `half_width` taps on
-/// each side of the peak. Filter length ~= ceil(delay) + 2*half_width + 1.
+/// non-integer, must be >= 0 and at most max_fractional_delay(half_width)).
+/// The integer part shifts the filter peak, the fractional part comes from a
+/// Hamming-windowed sinc of `half_width` taps on each side of the peak.
+/// Filter length ~= ceil(delay) + 2*half_width + 1.
 CVec design_fractional_delay(double delay_samples, std::size_t half_width = 16);
+
+/// The longest delay, in samples, whose filter a CVec can hold: the bound
+/// design_fractional_delay checks before it converts the delay to an index.
+double max_fractional_delay(std::size_t half_width = 16);
 
 /// Delay a signal by a (possibly fractional) number of samples, keeping the
 /// output aligned with the input timeline (output[n] ~= x(n - delay)).

@@ -1,8 +1,10 @@
 #include "dsp/kernels/kernels.hpp"
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "dsp/kernels/kernels_detail.hpp"
 
 namespace ff::dsp::kernels {
@@ -145,6 +147,24 @@ void Scalar<T>::radix4_stage(const C* src, C* dst, const C* tw, std::size_t quar
   }
 }
 
+// Ziggurat::operator()'s first test, one engine word at a time: temper the
+// word, pick layer i from its low 8 bits, u in [-1, 1) from its top 53, and
+// accept z = u * x[i] when |z| < x[i + 1]. The first rejected word ends the
+// run; the caller draws its normal in full (wedge or tail).
+template <typename T>
+std::size_t Scalar<T>::ziggurat_accept(const std::uint64_t* words, std::size_t n, const T* x,
+                                       T* out) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t w = Mt19937_64::temper(words[k]);
+    const std::size_t i = w & 0xFF;
+    const T u = static_cast<T>(w >> 11) * 0x1p-52 - 1.0;
+    const T z = u * x[i];
+    if (!(std::abs(z) < x[i + 1])) return k;
+    out[k] = z;
+  }
+  return n;
+}
+
 // The AVX2 TU links against these (it sees only the declarations): all of
 // Scalar<double>, and the two f32 cores its f32 bodies call for loop tails.
 template struct Scalar<double>;
@@ -172,6 +192,7 @@ constexpr KernelOps kScalarOps = {
     .radix4_stage = &Scalar<double>::radix4_stage,
     .cmul32 = &Scalar<float>::cmul,
     .fir32 = &scalar_fir32,
+    .ziggurat_accept = &Scalar<double>::ziggurat_accept,
 };
 
 Isa resolve_isa() {
@@ -216,6 +237,18 @@ void with_alpha(void (*f)(std::complex<T>, const std::complex<T>*, std::complex<
                 std::complex<T> alpha, Span<T> x, MutSpan<T> y) {
   FF_CHECK(x.size() == y.size());
   f(alpha, x.data(), y.data(), x.size());
+}
+
+// ziggurat_accept's checks: the full layer table, and room for every word's
+// normal.
+std::size_t checked_ziggurat_accept(std::size_t (*f)(const std::uint64_t*, std::size_t,
+                                                     const double*, double*),
+                                    std::span<const std::uint64_t> words,
+                                    RSpan x, std::span<double> out) {
+  FF_CHECK_MSG(x.size() == Ziggurat::kLayers + 1,
+               "ziggurat_accept needs the " << Ziggurat::kLayers + 1 << "-entry layer table");
+  FF_CHECK_MSG(out.size() >= words.size(), "ziggurat_accept needs one output per word");
+  return f(words.data(), words.size(), x.data(), out.data());
 }
 
 // fir's checks: at least one tap, a positive stride, and no overlap between
@@ -297,6 +330,11 @@ void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
   pairwise(ops().cmul32, x, phasors, out);
 }
 
+std::size_t ziggurat_accept(std::span<const std::uint64_t> words, RSpan x,
+                            std::span<double> out) {
+  return checked_ziggurat_accept(ops().ziggurat_accept, words, x, out);
+}
+
 // ------------------------------------------------ precision edge conversion
 
 void widen(CSpan32 x, CMutSpan out) {
@@ -347,6 +385,10 @@ void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y) {
 }
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out) {
   pairwise(&Scalar<float>::cmul, x, phasors, out);
+}
+std::size_t ziggurat_accept(std::span<const std::uint64_t> words, RSpan x,
+                            std::span<double> out) {
+  return checked_ziggurat_accept(&Scalar<double>::ziggurat_accept, words, x, out);
 }
 
 }  // namespace scalar

@@ -4,13 +4,15 @@
 // Every IQ hot loop in the repository — FIR filtering, CFO rotation, FFT
 // butterflies, correlation sums, cancellation — bottoms out in a handful of
 // block primitives, and this header declares exactly the ones a program
-// runs. Each op is one scalar template over the lane type (the reference,
-// always compiled). Six also have an AVX2 body (compiled when the FF_SIMD
+// runs. The stream channel's noise draw runs one more: the ziggurat's fast
+// path. Each op is one scalar template over the lane type (the reference,
+// always compiled). Seven also have an AVX2 body (compiled when the FF_SIMD
 // CMake option is ON, selected at runtime via __builtin_cpu_supports): f64
-// cmul/rotate_phasor, fir, radix2_stage and radix4_stage, and f32
-// cmul/rotate_phasor and fir. Only those six go through a dispatch table;
-// every other op calls its scalar template directly. `active_isa()` reports
-// which path is live so benchmarks and telemetry can record it.
+// cmul/rotate_phasor, fir, radix2_stage, radix4_stage and ziggurat_accept,
+// and f32 cmul/rotate_phasor and fir. Only those seven go through a
+// dispatch table; every other op calls its scalar template directly.
+// `active_isa()` reports which path is live so benchmarks and telemetry can
+// record it.
 //
 // The bitwise contract — the reason this layer can sit under the streaming
 // runtime's determinism guarantees:
@@ -25,6 +27,9 @@
 //   * fir is axpy's arithmetic in axpy's order: each output starts at +0
 //     and adds axpy's product one tap at a time, taps ascending, so it
 //     equals a per-tap axpy sweep over a zeroed output bit for bit.
+//   * ziggurat_accept tempers each engine word with integer operations and
+//     forms u and z with exact or single IEEE operations, so every ISA
+//     accepts the same words and writes the same normals.
 //   * Reduction kernels (cdot_conj, magsq_accum) define their association
 //     explicitly: term k accumulates into partial sum k mod 4, and the
 //     result is (p0 + p1) + (p2 + p3). Receiver sync, PN detection and
@@ -39,6 +44,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -97,6 +104,21 @@ Complex cdot_conj(CSpan a, CSpan b);
 /// sum_k |x[k]|^2 (re^2 + im^2 per element, then four-lane accumulation).
 double magsq_accum(CSpan x);
 
+// ------------------------------------------------------------------ ziggurat
+
+/// Ziggurat::operator()'s one-word fast path (common/rng.hpp) over a run of
+/// untempered Mt19937_64 state words (Mt19937_64::pending()). Word k is
+/// tempered into w; layer i = w & 0xFF, u = (w >> 11) * 2^-52 - 1 and
+/// z = u * x[i]. While |z| < x[i + 1], out[k] = z, the normal that word
+/// draws. Returns the length of that accepted prefix and writes nothing
+/// past it: the word after it, if any, is the first the fast path rejects,
+/// whose normal the caller draws with Ziggurat::operator() (the wedge and
+/// the tail). `x` is the layer table (Ziggurat::layers(), 257 entries);
+/// `out` holds at least words.size() values. dsp::add_cgaussian_zig is the
+/// caller.
+std::size_t ziggurat_accept(std::span<const std::uint64_t> words, RSpan x,
+                            std::span<double> out);
+
 // ------------------------------------------------------------- FFT butterflies
 // Stage kernels for the Stockham mixed-radix FFT (dsp::FftPlan). `src` and
 // `dst` are distinct n-sample buffers; `tw` points at the stage's twiddle
@@ -150,6 +172,8 @@ void radix4_stage(const Complex* src, Complex* dst, const Complex* tw,
 void cmul(CSpan32 a, CSpan32 b, CMutSpan32 out);
 void fir(CSpan32 h, const Complex32* ext, CMutSpan32 y);
 void rotate_phasor(CSpan32 x, CSpan32 phasors, CMutSpan32 out);
+std::size_t ziggurat_accept(std::span<const std::uint64_t> words, RSpan x,
+                            std::span<double> out);
 }  // namespace scalar
 
 }  // namespace ff::dsp::kernels

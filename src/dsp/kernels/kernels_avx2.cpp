@@ -2,11 +2,12 @@
 // per __m256. Compiled with -mavx2 (only this TU) when FF_SIMD=ON; selected
 // at runtime by __builtin_cpu_supports("avx2") in kernels.cpp.
 //
-// Six bodies, the ones the relay's timed paths run and the only six
+// Seven bodies, the ones the relay's timed paths run and the only seven
 // dispatch slots: f64 cmul (which rotate_phasor is), fir (every FIR block),
-// radix2_stage and radix4_stage (the f64 FFT behind packet modulation), and
-// f32 cmul and fir. Loop tails, and whole FFT stages a register cannot
-// fill, call the scalar templates.
+// radix2_stage and radix4_stage (the f64 FFT behind packet modulation),
+// ziggurat_accept (the stream channel's noise), and f32 cmul and fir. Loop
+// tails, and whole FFT stages a register cannot fill, call the scalar
+// templates.
 //
 // Bitwise contract (kernels.hpp): identical per-element formulas to the
 // scalar reference — same products, additions commuted at most (IEEE
@@ -247,6 +248,62 @@ void fir_avx2_32(const Complex32* h, std::size_t taps, const Complex32* ext, Com
   Scalar<float>::fir(h, taps, ext + i, y + i, n - i, 1);
 }
 
+// ------------------------------------------------------------ ziggurat
+// Four engine words per step, one per 64-bit lane. The tempering is
+// Mt19937_64::temper's shifts, masks and xors, written out here because
+// rng.hpp's inline code must not reach this -mavx2 TU. AVX2 has no
+// u64 -> double conversion, so
+// u = (w >> 11) * 2^-52 - 1 is formed from bits: the low 52 bits m of
+// w >> 11 ORed into 1.0's exponent give d = 1 + m * 2^-52, and u is d - 1
+// when bit 63 of w (the top bit of w >> 11) is set and d - 2 when it is
+// clear. Both subtractions are exact, as is the scalar conversion, scale
+// and subtraction, so u matches the scalar template bit for bit; z is one
+// IEEE multiply and the test one compare, as there.
+
+inline __m256i masked(__m256i v, std::uint64_t mask) {
+  return _mm256_and_si256(v, _mm256_set1_epi64x(static_cast<long long>(mask)));
+}
+
+inline __m256i temper4(__m256i z) {
+  z = _mm256_xor_si256(z, masked(_mm256_srli_epi64(z, 29), 0x5555555555555555ULL));
+  z = _mm256_xor_si256(z, masked(_mm256_slli_epi64(z, 17), 0x71D67FFFEDA60000ULL));
+  z = _mm256_xor_si256(z, masked(_mm256_slli_epi64(z, 37), 0xFFF7EEE000000000ULL));
+  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+}
+
+std::size_t ziggurat_accept_avx2(const std::uint64_t* words, std::size_t n, const double* x,
+                                 double* out) {
+  const __m256i one = _mm256_castpd_si256(_mm256_set1_pd(1.0));
+  const __m256d magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const __m256i w =
+        temper4(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + k)));
+    const __m256i i = masked(w, 0xFF);
+    const __m256d d = _mm256_castsi256_pd(
+        _mm256_or_si256(masked(_mm256_srli_epi64(w, 11), 0x000FFFFFFFFFFFFFULL), one));
+    // blendv picks by each lane's sign bit, which is bit 63 of w.
+    const __m256d lead = _mm256_blendv_pd(_mm256_set1_pd(2.0), _mm256_set1_pd(1.0),
+                                          _mm256_castsi256_pd(w));
+    const __m256d u = _mm256_sub_pd(d, lead);
+    const __m256d z = _mm256_mul_pd(u, _mm256_i64gather_pd(x, i, 8));
+    const __m256d bound = _mm256_i64gather_pd(x + 1, i, 8);
+    const int inside =
+        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_and_pd(z, magnitude), bound, _CMP_LT_OQ));
+    if (inside == 0xF) {
+      _mm256_storeu_pd(out + k, z);
+      continue;
+    }
+    // Keep the lanes before the first rejected one.
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, z);
+    const int accepted = __builtin_ctz(~inside);
+    for (int j = 0; j < accepted; ++j) out[k + j] = lanes[j];
+    return k + static_cast<std::size_t>(accepted);
+  }
+  return k + Scalar<double>::ziggurat_accept(words + k, n - k, x, out + k);
+}
+
 }  // namespace
 
 const KernelOps& avx2_ops() {
@@ -257,6 +314,7 @@ const KernelOps& avx2_ops() {
       .radix4_stage = &radix4_stage_avx2,
       .cmul32 = &cmul_avx2_32,
       .fir32 = &fir_avx2_32,
+      .ziggurat_accept = &ziggurat_accept_avx2,
   };
   return ops;
 }

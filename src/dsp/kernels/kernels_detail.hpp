@@ -15,13 +15,15 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace ff::dsp::kernels::detail {
 
 // Pointer-level dispatch table: one slot per op and lane type with an AVX2
 // body, and nothing else. One instance per compiled ISA; kernels.cpp picks
 // the ISA at process start. The fir slots take (h, taps, ext, y, n[, stride]);
-// the f32 one is stride 1 only, because no f32 caller decimates.
+// the f32 one is stride 1 only, because no f32 caller decimates. The
+// ziggurat slot takes (words, n, x, out) and returns the accepted count.
 struct KernelOps {
   using C = std::complex<double>;
   using C32 = std::complex<float>;
@@ -31,6 +33,7 @@ struct KernelOps {
   void (*radix4_stage)(const C*, C*, const C*, std::size_t, std::size_t, bool);
   void (*cmul32)(const C32*, const C32*, C32*, std::size_t);
   void (*fir32)(const C32*, std::size_t, const C32*, C32*, std::size_t);
+  std::size_t (*ziggurat_accept)(const std::uint64_t*, std::size_t, const double*, double*);
 };
 
 // The scalar reference cores for lane type T. Every multiply/add is one
@@ -51,6 +54,11 @@ struct Scalar {
                            std::size_t m);
   static void radix4_stage(const C* src, C* dst, const C* tw, std::size_t quarter,
                            std::size_t m, bool invert);
+  // The ziggurat's one-word fast path over untempered engine words: writes
+  // out[k] = z while word k's |z| < x[i + 1] and returns that count. f64
+  // only (the ziggurat's table is double); kernels.hpp has the formula.
+  static std::size_t ziggurat_accept(const std::uint64_t* words, std::size_t n, const T* x,
+                                     T* out);
 };
 
 #if defined(FF_SIMD_ENABLED) && (defined(__x86_64__) || defined(_M_X64))

@@ -6,7 +6,9 @@
 
 #include "common/check.hpp"
 #include "common/seeding.hpp"
+#include "dsp/fractional_delay.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/noise.hpp"
 #include "dsp/resample.hpp"
 
 namespace ff::stream {
@@ -233,6 +235,39 @@ void PipelineElement::process(Block& block) {
   pipeline_.process_into(block.samples, block.samples);
 }
 
+namespace {
+
+// Every path's delay must discretize into a FIR a CVec can hold: converting
+// a longer delay to a tap index is undefined. Checked here, before any FIR
+// is built, so the error names the field (`what`).
+void check_path_delays(const ChannelElementConfig& cfg, const std::string& what) {
+  const double limit = dsp::max_fractional_delay(cfg.sinc_half_width);
+  for (const channel::PathTap& t : cfg.channel.taps()) {
+    const double d = (t.delay_s - cfg.delay_ref_s) * cfg.sample_rate_hz;
+    FF_CHECK_MSG(std::isfinite(t.delay_s) && d <= limit,
+                 what << ": delay " << t.delay_s << " s is " << d << " samples at rate "
+                      << cfg.sample_rate_hz << ", longer than a channel FIR can be ("
+                      << limit << " samples)");
+  }
+}
+
+// Runs before any ChannelElement member is built from the config: an
+// infinite rate would otherwise discretize the FIR from garbage first.
+ChannelElementConfig checked(ChannelElementConfig cfg) {
+  FF_CHECK_MSG(std::isfinite(cfg.sample_rate_hz) && cfg.sample_rate_hz > 0.0,
+               "ChannelElement sample_rate_hz must be positive and finite, got "
+                   << cfg.sample_rate_hz);
+  FF_CHECK_MSG(std::isfinite(cfg.noise_power) && cfg.noise_power >= 0.0,
+               "ChannelElement noise_power must be finite and >= 0, got " << cfg.noise_power);
+  FF_CHECK_MSG(std::isfinite(cfg.coherence_time_s) && cfg.coherence_time_s >= 0.0,
+               "ChannelElement coherence_time_s must be finite and >= 0, got "
+                   << cfg.coherence_time_s);
+  check_path_delays(cfg, "ChannelElement paths");
+  return cfg;
+}
+
+}  // namespace
+
 ChannelElement::ChannelElement(std::string name)
     : ChannelElement(std::move(name), ChannelElementConfig{}) {}
 
@@ -261,6 +296,7 @@ void ChannelElement::configure(const Params& p) {
   FF_CHECK_MSG(cfg.sample_rate_hz > 0.0, p.context() << ": rate: must be positive");
   FF_CHECK_MSG(cfg.noise_power >= 0.0, p.context() << ": noise: must be >= 0");
   FF_CHECK_MSG(cfg.coherence_time_s >= 0.0, p.context() << ": coherence: must be >= 0");
+  check_path_delays(cfg, p.context() + ": paths");
   cfg_ = std::move(cfg);
   drift_ = net::DriftingChannel(cfg_.channel,
                                 cfg_.coherence_time_s > 0.0 ? cfg_.coherence_time_s : 1.0);
@@ -294,24 +330,6 @@ void ChannelElement::add_handlers(HandlerRegistry& h) {
     ++retunes_;
   });
 }
-
-namespace {
-
-// Runs before any ChannelElement member is built from the config: an
-// infinite rate would otherwise discretize the FIR from garbage first.
-ChannelElementConfig checked(ChannelElementConfig cfg) {
-  FF_CHECK_MSG(std::isfinite(cfg.sample_rate_hz) && cfg.sample_rate_hz > 0.0,
-               "ChannelElement sample_rate_hz must be positive and finite, got "
-                   << cfg.sample_rate_hz);
-  FF_CHECK_MSG(std::isfinite(cfg.noise_power) && cfg.noise_power >= 0.0,
-               "ChannelElement noise_power must be finite and >= 0, got " << cfg.noise_power);
-  FF_CHECK_MSG(std::isfinite(cfg.coherence_time_s) && cfg.coherence_time_s >= 0.0,
-               "ChannelElement coherence_time_s must be finite and >= 0, got "
-                   << cfg.coherence_time_s);
-  return cfg;
-}
-
-}  // namespace
 
 ChannelElement::ChannelElement(std::string name, ChannelElementConfig cfg)
     : Transform(std::move(name)),
@@ -355,25 +373,21 @@ void ChannelElement::process(Block& block) {
       chunk = std::min<std::size_t>(
           chunk, static_cast<std::size_t>(interval - pos_ % interval));
     CMutSpan seg = samples.subspan(done, chunk);
-    // Both precisions add Rng's ziggurat noise, drawn per sample in stream
-    // order, so either stream is invariant to blocking. The f32 branch adds
-    // the same draws rounded to float.
+    // Both precisions add Rng's ziggurat noise a segment at a time, the
+    // draws a per-sample cgaussian_zig loop would add in stream order, so
+    // either stream is invariant to blocking. The f32 branch adds the same
+    // draws rounded to float (cgaussian32's).
     if (cfg_.precision == Precision::kF32) {
       // Narrow once, stay f32 through the FIR and the noise add.
       CMutSpan32 seg32 = ws_.get<float>(1, chunk);  // f32 slot 0 = FIR scratch
       dsp::kernels::narrow(seg, seg32);
       fir32_.process_into(seg32, seg32, ws_);
-      if (cfg_.noise_power > 0.0) {
-        const float np = static_cast<float>(cfg_.noise_power);
-        for (auto& s : seg32) s += noise_rng_.cgaussian32(np);
-      }
+      if (cfg_.noise_power > 0.0)
+        dsp::add_cgaussian_zig(noise_rng_, seg32, static_cast<float>(cfg_.noise_power));
       dsp::kernels::widen(seg32, seg);
     } else {
       fir_.process_into(seg, seg, ws_);
-      if (cfg_.noise_power > 0.0) {
-        const double np = cfg_.noise_power;
-        for (auto& s : seg) s += noise_rng_.cgaussian_zig(np);
-      }
+      if (cfg_.noise_power > 0.0) dsp::add_cgaussian_zig(noise_rng_, seg, cfg_.noise_power);
     }
     pos_ += chunk;
     done += chunk;

@@ -210,9 +210,11 @@ struct ChannelElementConfig {
   std::uint64_t seed = 0x5EED;
   /// kF32 narrows each segment on entry, runs the channel FIR on the
   /// float32 kernel family, adds the noise in float and widens on exit.
-  /// Discretization and drift stay double. The noise is kF64's draws, in
-  /// the same order, rounded to float (Rng::cgaussian32), so the f32 stream
-  /// keeps its own block-size/thread-invariant checksum.
+  /// Discretization and drift stay double. Both precisions add the noise a
+  /// segment at a time with dsp::add_cgaussian_zig; at kF32 it is kF64's
+  /// draws, in the same order, rounded to float (what Rng::cgaussian32
+  /// draws), so the f32 stream keeps its own block-size/thread-invariant
+  /// checksum.
   Precision precision = Precision::kF64;
 };
 

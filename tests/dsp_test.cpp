@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 
 #include "common/rng.hpp"
@@ -350,6 +351,15 @@ TEST(FractionalDelay, IntegerDelayIsExact) {
   const CVec taps = dsp::design_fractional_delay(3.0);
   ASSERT_EQ(taps.size(), 4u);
   EXPECT_NEAR(std::abs(taps[3] - Complex{1.0, 0.0}), 0.0, 1e-12);
+}
+
+TEST(FractionalDelay, RejectsADelayNoFilterCanHold) {
+  // Past size_t's range the delay's conversion to a tap index is undefined:
+  // 8e19 samples once came back as 18 zero taps. Infinity and NaN are no
+  // delay either.
+  for (const double delay : {8e19, dsp::max_fractional_delay(16) * 2.0,
+                             std::numeric_limits<double>::infinity(), std::nan("")})
+    EXPECT_THROW(dsp::design_fractional_delay(delay, 16), std::logic_error) << delay;
 }
 
 TEST(FractionalDelay, SubSampleDelayWithoutLeadIsDegraded) {

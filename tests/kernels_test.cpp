@@ -28,7 +28,9 @@
 #include <initializer_list>
 #include <new>
 #include <ranges>
+#include <span>
 #include <type_traits>
+#include <vector>
 
 #include "channel/multipath.hpp"
 #include "common/rng.hpp"
@@ -374,6 +376,55 @@ void check_radix_stage(std::size_t radix) {
   }
 }
 
+// ziggurat_accept over engine words sorted, one at a time by the scalar
+// template, into those the fast path accepts and those it rejects. For
+// every run length up to 23, the first rejected word sits at every
+// position (each lane of a four-word step, and inside the odd tail after
+// the last step) and nowhere; a later rejection changes nothing. Both
+// bodies must return the same count and write the same prefix, and nothing
+// past it. Then a long run of raw engine words, walked as
+// dsp::add_cgaussian_zig walks them: past each rejected word.
+void check_ziggurat_accept() {
+  constexpr double kUntouched = 1e300;  // no normal is this large
+  const auto& x = Ziggurat::tables().layers();
+  Mt19937_64 engine(20140817);
+  std::vector<std::uint64_t> accepted, rejected;
+  while (accepted.size() < 64 || rejected.size() < 64) {
+    const std::uint64_t w = engine();
+    double z;
+    auto& pool = k::scalar::ziggurat_accept({&w, 1}, x, {&z, 1}) == 1 ? accepted : rejected;
+    if (pool.size() < 64) pool.push_back(w);
+  }
+  for (std::size_t n = 1; n <= 23; ++n) {
+    for (std::size_t first = 0; first <= n; ++first) {
+      std::vector<std::uint64_t> words(n);
+      for (std::size_t j = 0; j < n; ++j) words[j] = accepted[(j + 3 * n) % accepted.size()];
+      if (first < n) words[first] = rejected[first];
+      if (first + 2 < n) words[n - 1] = rejected[n];
+      std::vector<double> got(n, kUntouched), want(n, kUntouched);
+      EXPECT_EQ(k::ziggurat_accept(words, x, got), first) << "n=" << n;
+      EXPECT_EQ(k::scalar::ziggurat_accept(words, x, want), first) << "n=" << n;
+      EXPECT_TRUE(bitwise_equal(got, want)) << "n=" << n << " first rejection " << first;
+      for (std::size_t j = first; j < n; ++j)
+        EXPECT_EQ(want[j], kUntouched) << "n=" << n << " wrote past the prefix at " << j;
+    }
+  }
+
+  std::vector<std::uint64_t> words(100'000);
+  for (auto& w : words) w = engine();
+  std::vector<double> got(words.size(), kUntouched), want(words.size(), kUntouched);
+  std::size_t runs = 0;
+  for (std::size_t at = 0; at < words.size(); ++runs) {
+    const std::span<const std::uint64_t> rest(words.data() + at, words.size() - at);
+    const std::size_t n = k::ziggurat_accept(rest, x, std::span(got).subspan(at));
+    ASSERT_EQ(n, k::scalar::ziggurat_accept(rest, x, std::span(want).subspan(at)))
+        << "run from word " << at;
+    at += n + 1;
+  }
+  EXPECT_TRUE(bitwise_equal(got, want));
+  EXPECT_GT(runs, 500u);  // about 1.2% of words are rejected
+}
+
 TEST(KernelsBitwise, CmulMatchesScalar) { check_cmul<double>(); }
 TEST(KernelsBitwise, AxpyMatchesScalar) { check_axpy<double>(); }
 TEST(KernelsBitwise, FirMatchesScalar) { check_fir<double>({1, 2, 3, 4, 5}); }
@@ -383,6 +434,7 @@ TEST(KernelsBitwise, CdotConjMatchesScalar) { check_cdot_conj(); }
 TEST(KernelsBitwise, MagsqAccumMatchesScalar) { check_magsq_accum(); }
 TEST(KernelsBitwise, Radix2StageMatchesScalar) { check_radix_stage(2); }
 TEST(KernelsBitwise, Radix4StageMatchesScalar) { check_radix_stage(4); }
+TEST(KernelsBitwise, ZigguratAcceptMatchesScalar) { check_ziggurat_accept(); }
 
 TEST(KernelsBitwiseF32, CmulMatchesScalar) { check_cmul<float>(); }
 TEST(KernelsBitwiseF32, AxpyMatchesScalar) { check_axpy<float>(); }
@@ -444,6 +496,17 @@ TEST(KernelsFir, RejectsOutputOverlappingItsInput) {
   k::AlignedCVec32 buf32(64);
   EXPECT_THROW(k::fir(h32, buf32.data(), CMutSpan32{buf32.data() + 5, 4}), std::logic_error);
   EXPECT_NO_THROW(k::fir(h32, buf32.data(), CMutSpan32{buf32.data() + 6, 4}));
+}
+
+// ziggurat_accept's two checks: the whole 257-entry layer table (the AVX2
+// body gathers x[i + 1] up to index 256), and an output per word.
+TEST(KernelsZiggurat, RejectsAShortTableOrOutput) {
+  const auto& x = Ziggurat::tables().layers();
+  const std::vector<std::uint64_t> words(8, 0);
+  std::vector<double> out(8);
+  EXPECT_THROW(k::ziggurat_accept(words, RSpan(x).first(256), out), std::logic_error);
+  EXPECT_THROW(k::ziggurat_accept(words, x, std::span(out).first(7)), std::logic_error);
+  EXPECT_THROW(k::scalar::ziggurat_accept(words, x, std::span(out).first(7)), std::logic_error);
 }
 
 TEST(Kernels, IsaReportingIsConsistent) {

@@ -298,6 +298,22 @@ TEST(LangDiagnostics, BadParamValueCarriesDeclLocation) {
   EXPECT_NE(msg.find("hz"), std::string::npos) << msg;
 }
 
+TEST(LangDiagnostics, ChannelPathLongerThanAFirNamesPaths) {
+  // 1e12 s is 8e19 samples at 80 Msps, past size_t: the path's conversion
+  // to a tap index was undefined and built an all-zero channel in silence.
+  Graph g;
+  const std::string msg = thrown_message([&] {
+    stream::build_graph(g,
+                        "s :: VectorSource(data=(1,0));\n"
+                        "c :: Channel(paths=1e12:(1,0), rate=80e6);\n"
+                        "s -> c -> NullSink();",
+                        "g.ff");
+  });
+  EXPECT_NE(msg.find("g.ff:2:1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("Channel 'c'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("paths"), std::string::npos) << msg;
+}
+
 TEST(LangDiagnostics, UnknownParameterRejectedWithDeclLocation) {
   Graph g;
   const std::string msg = thrown_message([&] {

@@ -1,15 +1,23 @@
 // The generator under every Rng: Mt19937_64 must be std::mt19937_64 draw for
 // draw (so every std distribution, and every checksum built on one, is
-// unchanged), and the ziggurat behind Rng::cgaussian_zig must be a standard
-// normal — moments, shape, tails — with a pinned draw sequence.
+// unchanged), the ziggurat behind Rng::cgaussian_zig must be a standard
+// normal — moments, shape, tails — with a pinned draw sequence, and the
+// block draw the stream channel adds (dsp::add_cgaussian_zig) must add
+// exactly what a per-sample cgaussian_zig / cgaussian32 loop adds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <complex>
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "dsp/noise.hpp"
 
 namespace ff {
 namespace {
@@ -114,6 +122,25 @@ TEST(Ziggurat, CGaussian32IsTheNarrowedZigguratDraw) {
   }
 }
 
+TEST(Mt19937_64, PendingWordsTemperIntoTheNextDraws) {
+  // pending() is the rest of the current twist, untempered; marking words
+  // drawn leaves the engine where that many draws would, across twists.
+  Mt19937_64 blocks(77), draws(77);
+  std::size_t marked = 0;
+  for (const std::size_t take : {std::size_t{1}, std::size_t{0}, std::size_t{310},
+                                 std::size_t{1}, std::size_t{312}, std::size_t{5}}) {
+    const std::span<const std::uint64_t> words = blocks.pending();
+    ASSERT_FALSE(words.empty());
+    const std::size_t n = std::min(take, words.size());
+    for (std::size_t k = 0; k < n; ++k)
+      ASSERT_EQ(Mt19937_64::temper(words[k]), draws()) << "word " << marked + k;
+    blocks.mark_drawn(n);
+    marked += n;
+  }
+  EXPECT_EQ(blocks(), draws());
+  EXPECT_THROW(blocks.mark_drawn(blocks.pending().size() + 1), std::logic_error);
+}
+
 // Counts the engine words each normal spends: 1 is the fast path, 2 is an
 // accepted wedge test (the tail spends at least 3).
 struct CountingEngine {
@@ -185,6 +212,108 @@ TEST(Ziggurat, IsAStandardNormal) {
   EXPECT_NEAR(static_cast<double>(tail), n * p_tail, 5.0 * std::sqrt(n * p_tail));
   EXPECT_GT(wedge, kDraws / 1000) << "wedge accepts " << wedge;
   EXPECT_LT(engine.words, kDraws + kDraws / 20) << "too few draws take the fast path";
+}
+
+// ------------------------------------------------------------ block draws
+
+// Blocks of every shape the fast path's four-word steps and the engine's
+// 312-word twists can meet: below, at and just past one step, around one
+// twist (311, 312, 313 samples are 622, 624 and 626 words), and a stream
+// block; then random sizes.
+constexpr std::size_t kFixedBlocks[] = {1, 2, 3, 4, 5, 7, 311, 312, 313, 4096};
+
+struct BlockDrawCounts {
+  std::uint64_t normals = 0;
+  std::uint64_t wedge = 0;     // normals that left the fast path, tail aside
+  std::uint64_t tail = 0;      // normals beyond r
+  std::uint64_t straddles = 0;  // blocks whose words cross a twist
+};
+
+// Adds noise to the same input twice, once a block at a time with `add`
+// and once with `per_sample` in a loop, over blocks of kFixedBlocks and then
+// random sizes until `min_normals` normals are drawn. Every block must
+// match under memcmp and leave both engines on the same next word. A
+// shadow engine replays the normals one by one to count the wedge and tail
+// draws the blocks contain and the twists they straddle.
+template <typename T, typename Add, typename PerSample>
+void check_block_draws(std::uint64_t seed, std::uint64_t min_normals, Add add,
+                       PerSample per_sample, BlockDrawCounts& counts) {
+  using C = std::complex<T>;
+  constexpr double kR = 3.6541528853610088;
+  const Ziggurat& zig = Ziggurat::tables();
+  Rng block_rng(seed), loop_rng(seed), sizes(seed + 1), data(seed + 2);
+  CountingEngine shadow{Mt19937_64(seed)};
+  std::vector<C> base(4096), block(4096), loop(4096);
+  for (auto& v : base) {
+    const Complex d = data.cgaussian();
+    v = {static_cast<T>(d.real()), static_cast<T>(d.imag())};
+  }
+  for (std::size_t b = 0; counts.normals < min_normals; ++b) {
+    const std::size_t n = b < std::size(kFixedBlocks) ? kFixedBlocks[b] : 1 + sizes.index(4096);
+    std::copy_n(base.begin(), n, block.begin());
+    std::copy_n(base.begin(), n, loop.begin());
+    add(block_rng, std::span<C>(block.data(), n));
+    for (std::size_t i = 0; i < n; ++i) loop[i] += per_sample(loop_rng);
+    ASSERT_EQ(std::memcmp(block.data(), loop.data(), n * sizeof(C)), 0)
+        << "seed " << seed << " block " << b << " of " << n << " samples";
+    Mt19937_64 block_next = block_rng.engine(), loop_next = loop_rng.engine();
+    ASSERT_EQ(block_next(), loop_next()) << "seed " << seed << " block " << b;
+
+    const std::uint64_t first_word = shadow.words;
+    for (std::size_t k = 0; k < 2 * n; ++k) {
+      const std::uint64_t before = shadow.words;
+      const double z = zig(shadow);
+      if (std::abs(z) > kR)
+        ++counts.tail;
+      else if (shadow.words - before > 1)
+        ++counts.wedge;
+    }
+    if (first_word / 312 != (shadow.words - 1) / 312) ++counts.straddles;
+    counts.normals += 2 * n;
+  }
+}
+
+// Four seeds of at least 650,000 normals each: 2.6 million per test, over
+// 10^7 across the four tests below.
+template <typename T, typename Add, typename PerSample>
+void check_block_draws_at_four_seeds(Add add, PerSample per_sample) {
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1234},
+                                   std::uint64_t{20140817}}) {
+    BlockDrawCounts c;
+    check_block_draws<T>(seed, 650'000, add, per_sample, c);
+    if (testing::Test::HasFatalFailure()) return;
+    // About 1.2% of normals leave the fast path and 2.6e-4 reach the tail.
+    EXPECT_GT(c.wedge, c.normals / 200) << "seed " << seed;
+    EXPECT_GT(c.tail, c.normals / 10'000) << "seed " << seed;
+    EXPECT_GT(c.straddles, 100u) << "seed " << seed;
+  }
+}
+
+constexpr double kVariance = 0.37;
+constexpr float kVariance32 = 1e-3f;
+
+TEST(ZigguratBlock, AddsThePerSampleDrawsAtF64) {
+  check_block_draws_at_four_seeds<double>(
+      [](Rng& rng, CMutSpan x) { dsp::add_cgaussian_zig(rng, x, kVariance); },
+      [](Rng& rng) { return rng.cgaussian_zig(kVariance); });
+}
+
+TEST(ZigguratBlock, AddsThePerSampleDrawsAtF32) {
+  check_block_draws_at_four_seeds<float>(
+      [](Rng& rng, CMutSpan32 x) { dsp::add_cgaussian_zig(rng, x, kVariance32); },
+      [](Rng& rng) { return rng.cgaussian32(kVariance32); });
+}
+
+TEST(ZigguratBlock, ScalarReferenceAddsThePerSampleDrawsAtF64) {
+  check_block_draws_at_four_seeds<double>(
+      [](Rng& rng, CMutSpan x) { dsp::scalar::add_cgaussian_zig(rng, x, kVariance); },
+      [](Rng& rng) { return rng.cgaussian_zig(kVariance); });
+}
+
+TEST(ZigguratBlock, ScalarReferenceAddsThePerSampleDrawsAtF32) {
+  check_block_draws_at_four_seeds<float>(
+      [](Rng& rng, CMutSpan32 x) { dsp::scalar::add_cgaussian_zig(rng, x, kVariance32); },
+      [](Rng& rng) { return rng.cgaussian32(kVariance32); });
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -20,9 +21,11 @@
 #include "channel/floorplan.hpp"
 #include "channel/multipath.hpp"
 #include "common/rng.hpp"
+#include "common/seeding.hpp"
 #include "common/telemetry.hpp"
 #include "common/units.hpp"
 #include "dsp/fir.hpp"
+#include "dsp/kernels/kernels.hpp"
 #include "dsp/noise.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/sequence.hpp"
@@ -32,6 +35,7 @@
 #include "fullduplex/si_channel.hpp"
 #include "fullduplex/stack.hpp"
 #include "fullduplex/tuner.hpp"
+#include "net/drift.hpp"
 #include "phy/frame.hpp"
 #include "stream/elements.hpp"
 #include "stream/graph.hpp"
@@ -276,21 +280,91 @@ TEST(StreamInvariance, DriftingChannelIsBlockSizeInvariant) {
   }
 }
 
+// The per-sample channel the block path must reproduce, written out: each
+// sample pushed through the FIR and then given one ziggurat draw, with a
+// drift retune before every 512th sample after the first. At kF32 the
+// sample is narrowed, filtered by the narrowed taps, given cgaussian32's
+// draw and widened.
+CVec per_sample_channel(const CVec& x, const stream::ChannelElementConfig& cc) {
+  net::DriftingChannel drift(cc.channel, cc.coherence_time_s);
+  Rng noise = seeding::named_stream(cc.seed, "noise");
+  Rng drift_rng = seeding::named_stream(cc.seed, "drift");
+  const CVec taps = cc.channel.to_fir(cc.sample_rate_hz, cc.delay_ref_s, cc.sinc_half_width);
+  dsp::FirFilter fir(taps);
+  dsp::FirFilter32 fir32(dsp::kernels::narrowed(taps));
+  CVec y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (i > 0 && i % cc.retune_interval_samples == 0) {
+      drift.advance(static_cast<double>(cc.retune_interval_samples) / cc.sample_rate_hz,
+                    drift_rng);
+      const CVec now =
+          drift.now().to_fir(cc.sample_rate_hz, cc.delay_ref_s, cc.sinc_half_width);
+      fir.set_taps(now);
+      fir32.set_taps(dsp::kernels::narrowed(now));
+    }
+    if (cc.precision == Precision::kF32) {
+      const Complex32 in{static_cast<float>(x[i].real()), static_cast<float>(x[i].imag())};
+      const Complex32 out = fir32.push(in) + noise.cgaussian32(static_cast<float>(cc.noise_power));
+      y[i] = {out.real(), out.imag()};
+    } else {
+      y[i] = fir.push(x[i]) + noise.cgaussian_zig(cc.noise_power);
+    }
+  }
+  return y;
+}
+
+TEST(StreamChannel, NoisyChannelMatchesPerSampleDraws) {
+  // DriftingChannelIsBlockSizeInvariant compares the element with itself;
+  // this holds it, at both precisions, to the per-sample loop above.
+  const CVec x = random_signal(6000, 22);
+  for (const Precision precision : {Precision::kF64, Precision::kF32}) {
+    stream::ChannelElementConfig cc = drifting_channel_config();
+    cc.precision = precision;
+    const CVec reference = per_sample_channel(x, cc);
+    for (const std::size_t bs : {1, 7, 511, 512, 513, 4096}) {
+      const CVec out = run_single_transform(
+          x, bs, [&] { return std::make_unique<stream::ChannelElement>("chan", cc); });
+      ASSERT_EQ(out.size(), reference.size());
+      EXPECT_EQ(std::memcmp(out.data(), reference.data(), out.size() * sizeof(Complex)), 0)
+          << (precision == Precision::kF32 ? "f32" : "f64") << " block_size=" << bs;
+    }
+  }
+}
+
 TEST(StreamChannel, ConstructorRejectsNonFiniteConfig) {
   // The C++ constructor holds the same line as the Params path, which only
   // accepts finite numbers: an infinite noise power makes every sample
-  // non-finite, and an infinite rate discretizes the FIR from garbage.
+  // non-finite, and an infinite rate discretizes the FIR from garbage. A
+  // path delay no FIR can hold (1e12 s is 2e19 samples at 20 Msps, past
+  // size_t) once discretized silently into an all-zero channel; it is
+  // refused with an error naming `paths`, as is an infinite one.
   const double inf = std::numeric_limits<double>::infinity();
   const auto build = [](auto&& edit) {
     stream::ChannelElementConfig cc = drifting_channel_config();
     edit(cc);
     return stream::ChannelElement("chan", cc);
   };
+  const auto with_delay = [](double delay_s) {
+    return [delay_s](stream::ChannelElementConfig& cc) {
+      cc.channel = channel::MultipathChannel({channel::PathTap{100e-9, Complex{0.5, 0.1}},
+                                              channel::PathTap{delay_s, Complex{1.0, 0.0}}},
+                                             2.45e9);
+    };
+  };
   EXPECT_NO_THROW(build([](auto&) {}));
   EXPECT_THROW(build([&](auto& cc) { cc.noise_power = inf; }), std::logic_error);
   EXPECT_THROW(build([&](auto& cc) { cc.sample_rate_hz = inf; }), std::logic_error);
   EXPECT_THROW(build([&](auto& cc) { cc.coherence_time_s = inf; }), std::logic_error);
   EXPECT_THROW(build([&](auto& cc) { cc.noise_power = std::nan(""); }), std::logic_error);
+  EXPECT_NO_THROW(build(with_delay(1e-6)));
+  for (const double delay_s : {1e12, inf}) {
+    try {
+      build(with_delay(delay_s));
+      ADD_FAILURE() << "a " << delay_s << " s path was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("paths"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(StreamInvariance, CancellerMatchesStackApply) {
