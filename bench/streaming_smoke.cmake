@@ -8,8 +8,12 @@
 #    the text-built session reproduces the hand-wired physics.
 # 3. The hand-wired session on the float32 path (--precision f32) decodes
 #    crc=OK too.
+# 4. The hand-wired session on the throughput scheduler (--mode throughput
+#    --threads 3 --batch-size 8) decodes crc=OK.
+# 5. --threads 2 without --mode throughput is refused: the reference mode
+#    runs one chain, so the run must exit non-zero and name the fix.
 #
-# The session checksums, at every block size, thread count and scheduler
+# The session checksums, at every block size, chain count and scheduler
 # mode, are pinned by stream_test (StreamThroughput.* and StreamF32.*).
 #
 # Invoked by CTest as:
@@ -63,3 +67,16 @@ message(STATUS "streaming smoke OK: ${RELAY_GRAPH} equals the --dump-graph outpu
 
 expect_clean_decode(--graph ${RELAY_GRAPH})
 expect_clean_decode(--precision f32)
+expect_clean_decode(--mode throughput --threads 3 --batch-size 8)
+
+execute_process(
+  COMMAND ${STREAMING_RELAY} --threads 2
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "--mode throughput")
+  message(FATAL_ERROR "streaming_relay --threads 2 must exit non-zero naming "
+                      "'--mode throughput' (rc=${rc}).\n${out}\n${err}")
+endif()
+message(STATUS "streaming smoke OK: streaming_relay --threads 2 is refused without --mode throughput")

@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
                  "per-session scheduler: 'reference' (live control commands "
                  "work) or 'throughput' (element commands answer `err busy`)");
   cli.add_option("--threads", &cfg.threads,
-                 "scheduler worker threads / pipeline chains per session");
+                 "throughput mode: pipeline chains per session, one worker thread "
+                 "each (reference mode runs one chain: 0 or 1)");
   cli.add_option("--batch-size", &cfg.batch_size,
                  "throughput mode: blocks per element pass and ring transfer");
   cli.add_option("--backpressure", &cfg.default_capacity,

@@ -222,10 +222,11 @@ void StreamCli::register_options(Cli& cli) {
                  "bounded-channel capacity in blocks (smaller = tighter "
                  "memory bound, more producer stalls)");
   cli.add_option("--threads", &threads_,
-                 "scheduler worker threads (reference: level workers; "
-                 "throughput: pipeline chains; 0 = FF_THREADS / hardware)");
+                 "throughput mode: pipeline chains, one worker thread each "
+                 "(0 = FF_THREADS / hardware); reference mode runs one chain "
+                 "on the calling thread and takes 0 or 1");
   cli.add_option("--mode", &mode_,
-                 "scheduler: 'reference' (deterministic level rounds) or "
+                 "scheduler: 'reference' (deterministic rounds of one chain) or "
                  "'throughput' (pipeline chains on worker threads over SPSC rings; "
                  "same output, higher rate)");
   cli.add_option("--batch-size", &batch_size_,
@@ -287,6 +288,13 @@ bool StreamCli::validate() const {
   }
   if (batch_size_ == 0) {
     std::fprintf(stderr, "--batch-size must be >= 1 block\n");
+    ok = false;
+  }
+  if (threads_ > 1 && mode_ != "throughput") {
+    std::fprintf(stderr,
+                 "--threads %zu needs --mode throughput (the reference mode runs one "
+                 "chain on the calling thread)\n",
+                 threads_);
     ok = false;
   }
   if (precision_ != "f64" && precision_ != "f32") {

@@ -205,9 +205,10 @@ class StreamCli {
   void register_options(Cli& cli);
 
   /// Range-check the parsed values (block size, queue capacity and batch
-  /// size >= 1, duration positive and finite, mode a known name, every
-  /// --set of the form elem.handler=value). Reports violations on stderr;
-  /// callers exit non-zero when this returns false.
+  /// size >= 1, duration positive and finite, mode a known name, --threads
+  /// above 1 only with --mode throughput, every --set of the form
+  /// elem.handler=value). Reports violations on stderr; callers exit
+  /// non-zero when this returns false.
   bool validate() const;
 
   std::size_t block_size() const { return block_size_; }

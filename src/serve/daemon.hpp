@@ -37,9 +37,9 @@
 //     every session boundary (serve/snapshot.hpp), not only at exit.
 //
 // Threading: the driver loop owns sockets and admission; each session runs
-// in one std::thread (which itself fans out per SchedulerConfig). The
-// MetricsRegistry is thread-safe by per-thread sharding; element state is
-// only ever touched from the session thread at quiescent points.
+// in one std::thread (which starts one worker per chain in throughput
+// mode). The MetricsRegistry is thread-safe by per-thread sharding; element
+// state is only ever touched from the session thread at quiescent points.
 #pragma once
 
 #include <atomic>
@@ -78,7 +78,9 @@ struct DaemonConfig {
 
   /// Scheduler selection per session (SchedulerConfig semantics). The
   /// watchdog is disabled: a daemon session idling on a quiet peer is
-  /// normal, not a deadlock.
+  /// normal, not a deadlock. `threads` counts throughput-mode chains; the
+  /// reference mode runs one chain on the session thread, and the
+  /// constructor rejects threads > 1 without `throughput`.
   bool throughput = false;
   std::size_t threads = 1;
   std::size_t batch_size = 1;

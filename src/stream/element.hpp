@@ -4,20 +4,21 @@
 // ports. Ports are wired point-to-point through bounded Channels (fixed
 // rings of Blocks) owned by the Graph; an element never sees its
 // neighbours, only its channels. Each scheduling opportunity the Scheduler
-// calls work(), which moves as many blocks as the channels allow and
-// returns whether anything moved. A full output channel is backpressure:
+// calls work_batch() (by default work()), which moves as many blocks as the
+// channels allow and returns whether anything moved. A full output channel is backpressure:
 // the element simply leaves its input queued and reports a stall — nothing
 // is ever dropped.
 //
 // Determinism contract (what makes multi-threaded runs bit-identical):
 //   * an element touches only its own state and its own channels;
-//   * a channel has exactly one producer and one consumer, and the Graph's
-//     level schedule never runs both in the same parallel region;
+//   * a channel has exactly one producer and one consumer, and every
+//     element runs on exactly one thread for the whole run (the
+//     Scheduler's chain that holds it);
 //   * all randomness is owned per-element and consumed in sample order.
 // Under that contract the sample stream an element emits depends only on
-// the graph and its configuration — not on thread count, and (for the
-// provided elements, which wrap push()-style stateful kernels) not on how
-// the stream is cut into blocks.
+// the graph and its configuration — not on the scheduler mode or chain
+// count, and (for the provided elements, which wrap push()-style stateful
+// kernels) not on how the stream is cut into blocks.
 #pragma once
 
 #include <cstddef>
@@ -158,8 +159,9 @@ class Element {
   /// blocking. Returns true when any block was consumed or emitted.
   virtual bool work() = 0;
 
-  /// Batched scheduling opportunity for the throughput-mode pipeline
-  /// scheduler: process up to `max_blocks` blocks per inner pass so
+  /// Batched scheduling opportunity, the one the Scheduler's chain pass
+  /// calls (batch 1 in reference mode): process up to `max_blocks` blocks
+  /// per inner pass so
   /// per-block overhead (virtual dispatch, timer scopes, channel
   /// bookkeeping) is amortized. The default simply runs work() — which
   /// already moves everything movable — so every element supports batching;
@@ -174,11 +176,11 @@ class Element {
 
   /// True when the element's last work() ended idle waiting on an EXTERNAL
   /// peer (e.g. a socket with no frame ready) rather than on another
-  /// element. Both schedulers use it to tell "idle" from "wedged": the
+  /// element. Both modes use it to tell "idle" from "wedged": the
   /// reference mode's stuck-graph check tolerates a round that moved
   /// nothing while some element waits externally, and the throughput
   /// watchdog keeps ticking. Such elements must throttle themselves (poll
-  /// with a timeout) — the schedulers will call work() again immediately.
+  /// with a timeout) — the scheduler will call work() again immediately.
   /// Note this makes scheduling observables (round counts, stall counters)
   /// timing-dependent for graphs containing such elements; sample streams
   /// stay deterministic.

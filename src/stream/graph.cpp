@@ -84,12 +84,10 @@ void Graph::validate() {
   FF_CHECK_MSG(!frontier.empty(), "stream graph has no source (0-input element)");
 
   std::size_t visited = 0;
-  std::size_t max_level = 0;
   while (!frontier.empty()) {
     std::vector<Element*> next;
     for (Element* e : frontier) {
       ++visited;
-      max_level = std::max(max_level, level[e]);
       for (const Channel* ch : e->outputs_) {
         Element* down = ch->consumer;
         level[down] = std::max(level[down], level[e] + 1);
@@ -111,18 +109,17 @@ void Graph::validate() {
                             << "and a feedback-free topology");
   }
 
-  levels_.assign(max_level + 1, {});
-  for (const auto& e : elements_) levels_[level[e.get()]].push_back(e.get());
+  order_.reserve(elements_.size());
+  for (const auto& e : elements_) order_.push_back(e.get());
+  std::stable_sort(order_.begin(), order_.end(), [&](const Element* a, const Element* b) {
+    return level.at(a) < level.at(b);
+  });
   validated_ = true;
 }
 
-std::vector<Element*> Graph::topo_order() const {
+const std::vector<Element*>& Graph::topo_order() const {
   FF_CHECK_MSG(validated_, "topo_order() needs a validated graph");
-  std::vector<Element*> order;
-  order.reserve(elements_.size());
-  for (const auto& level : levels_)
-    for (Element* e : level) order.push_back(e);
-  return order;
+  return order_;
 }
 
 bool Graph::finished() const {

@@ -10,12 +10,13 @@
 // Concrete elements register handlers in their add_handlers() override;
 // the registry is built lazily on first access (Element::handlers()).
 // Thread-safety is by scheduling, not locking: handlers touch element
-// state, so the scheduler only invokes them at quiescent points (between
-// reference-mode rounds via SchedulerConfig::on_round, or before/after a
-// run). For mid-stream retunes under any scheduler, use the positioned
-// write queue (Element::write_at), which applies the handler at an exact
-// sample index inside the element's own work() — the determinism contract
-// in docs/STREAMING.md.
+// state, so they are only invoked at quiescent points — before/after a run,
+// or between reference-mode rounds via SchedulerConfig::on_round, which
+// runs on the calling thread after each pass of the one chain. For
+// mid-stream retunes in either mode, use the positioned write queue
+// (Element::write_at), which applies the handler at an exact sample index
+// inside the element's own work() — the determinism contract in
+// docs/STREAMING.md.
 #pragma once
 
 #include <functional>

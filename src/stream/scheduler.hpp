@@ -1,41 +1,42 @@
-// Schedulers for element graphs: a deterministic reference mode and a
-// pipelined throughput mode over the same Graph.
+// The scheduler for element graphs: one chain pass, run by a deterministic
+// reference mode and by a pipelined throughput mode over the same Graph.
 //
-// Reference (SchedulerMode::kReference) — execution proceeds in rounds.
-// Within a round every level of the graph is visited in topological order
-// and each element gets one work() opportunity; within one level the
-// elements share no state (graph.hpp), so with threads > 1 a level runs
-// under common/parallel's worker pool. The round/level structure — and
-// therefore every element's state trajectory — is a function of the graph
-// alone, so output streams and stream.* metric values are bit-identical at
-// any thread count. The run ends when every channel is closed and drained;
-// a round that moves nothing earlier than that is a stuck graph and fails
-// crisply.
+// Scheduler::run validates the graph and cuts its topological order
+// (Graph::topo_order) into chains: one in reference mode, `threads` in
+// throughput mode. Every chain runs the same pass: fill its inbound rings,
+// call work_batch(batch) on each of its elements in order, then drain its
+// outbound rings.
 //
-// Throughput (SchedulerMode::kThroughput) — the graph is partitioned into
-// contiguous element chains (contiguous cuts of the topological order), and
-// each chain runs on its own long-lived worker thread, placed by the OS.
-// Chain-crossing channels are bridged by lock-free SPSC rings
+// Reference (SchedulerMode::kReference) — the one chain is the whole order,
+// run on the calling thread with batch 1, no rings and no watchdog thread.
+// Each pass is one round, and on_round fires after it, when no element is
+// mid-work. The run ends when every channel is closed and drained; a pass
+// that moves nothing before that, while no element waits on an external
+// peer, is a stuck graph and fails crisply with its round number. The round
+// structure, and so every element's state trajectory and every stream.*
+// value but the timers, is a function of the graph alone.
+//
+// Throughput (SchedulerMode::kThroughput) — each chain is a contiguous cut
+// of the order and runs on its own long-lived worker thread, placed by the
+// OS. Chain-crossing channels are bridged by lock-free SPSC rings
 // (ring.hpp), so blocks flow end to end with no global barrier: while chain
 // 0 generates block k, chain 1 filters block k-1 and chain 2 decodes block
-// k-2. Elements run their work_batch() path, and rings transfer up to
-// batch_size blocks per index publication, amortizing per-block overhead.
-// Output is still bit-identical to the reference mode — determinism comes
-// from the graph's dataflow (each element processes its input FIFO in order
-// on exactly one thread), not from the round structure — but *scheduling*
-// observables (queue depth peaks, stall counts, rounds) become
-// timing-dependent; see docs/OBSERVABILITY.md for which stream.* metrics
-// stay comparable. A wall-clock progress watchdog converts deadlocked
-// graphs (the pipeline analog of the reference mode's stuck-graph round)
-// into a crisp error carrying every ring's occupancy.
+// k-2. Rings transfer up to batch_size blocks per index publication,
+// amortizing per-block overhead. Output is still bit-identical to the
+// reference mode — determinism comes from the graph's dataflow (each
+// element processes its input FIFO in order on exactly one thread), not
+// from the round structure — but *scheduling* observables (queue depth
+// peaks, stall counts) become timing-dependent; see docs/OBSERVABILITY.md
+// for which stream.* metrics stay comparable. A wall-clock progress
+// watchdog converts deadlocked graphs (the pipeline analog of the stuck
+// round) into a crisp error carrying every ring's occupancy.
 //
 // Telemetry (when a registry is injected): per-element block/sample
 // counters and per-block latency timers recorded by the elements
 // themselves, per-channel peak-occupancy gauges
 // (stream.<consumer>.in<port>.depth_peak), stall counters, and
 // stream.scheduler.rounds (reference) / stream.scheduler.chains plus
-// stream.ring.* (throughput). Never record thread counts — reference-mode
-// reports must stay byte-comparable across them (docs/OBSERVABILITY.md).
+// stream.ring.* (throughput).
 #pragma once
 
 #include <cstdint>
@@ -46,21 +47,18 @@
 namespace ff::stream {
 
 enum class SchedulerMode {
-  kReference,   ///< deterministic level-parallel rounds (the bit-exact baseline)
+  kReference,   ///< one chain in rounds on the calling thread (the bit-exact baseline)
   kThroughput,  ///< element chains, one worker thread each, over lock-free SPSC rings
 };
 
 struct SchedulerConfig {
-  /// Reference mode: worker threads for level execution (1 = fully serial).
-  /// Throughput mode: number of pipeline chains / dedicated worker threads.
-  /// 0 = the common/parallel default (FF_THREADS / hardware concurrency).
+  /// Chains to cut the graph into. Reference mode runs one chain and takes
+  /// 0 or 1: run() rejects more, naming mode = throughput. Throughput mode:
+  /// worker threads, one chain each, clamped to the element count; 0 = the
+  /// common/parallel default (FF_THREADS / hardware concurrency).
   std::size_t threads = 1;
   /// Optional telemetry sink, installed on every element for the run.
   MetricsRegistry* metrics = nullptr;
-  /// Safety valve for misconfigured (e.g. unbounded-source) graphs:
-  /// abort after this many rounds. 0 = no limit. Reference mode only; the
-  /// throughput mode's safety valve is the watchdog below.
-  std::uint64_t max_rounds = 0;
 
   /// Execution mode. kReference is the default and the determinism
   /// reference; kThroughput must reproduce its output bit-for-bit
@@ -68,12 +66,10 @@ struct SchedulerConfig {
   SchedulerMode mode = SchedulerMode::kReference;
   /// Throughput mode: blocks per work_batch() pass and per ring transfer.
   /// 1 = no batching. Larger batches amortize per-block overhead at the
-  /// cost of pipeline latency; output samples never change.
+  /// cost of pipeline latency; output samples never change. Each ring
+  /// holds max(bridged channel's capacity, batch_size) blocks, rounded up
+  /// to a power of two.
   std::size_t batch_size = 1;
-  /// Throughput mode: minimum SPSC ring capacity in blocks (rounded up to
-  /// a power of two). 0 = derived per bridge from the bridged channel's
-  /// capacity and batch_size.
-  std::size_t ring_capacity = 0;
   /// Throughput mode stuck-graph watchdog: abort when no block moves
   /// across any ring (and no chain makes local progress) for this long.
   /// The error lists per-chain ring occupancies. 0 = disabled.
@@ -83,10 +79,10 @@ struct SchedulerConfig {
   /// number) at the global quiescent point — no element is mid-work, so
   /// this is the safe place to call live read/write handlers
   /// (Graph::handler) or queue positioned writes. Must not change the
-  /// graph topology. The round structure is thread-count independent, so
-  /// handler calls made here keep the determinism contract. Throughput
-  /// mode has no global quiescent point and FF_CHECKs this is empty —
-  /// use Element::write_at for sample-exact writes there.
+  /// graph topology. The rounds are a function of the graph, so handler
+  /// calls made here keep the determinism contract. Throughput mode has no
+  /// global quiescent point and FF_CHECKs this is empty — use
+  /// Element::write_at for sample-exact writes there.
   std::function<void(std::uint64_t round)> on_round;
 };
 
@@ -100,11 +96,9 @@ class Scheduler {
   /// (throughput mode; 0 when the whole graph fit in one chain).
   std::uint64_t run();
 
-  const SchedulerConfig& config() const { return cfg_; }
-
  private:
-  std::uint64_t run_reference();
-  std::uint64_t run_throughput();  // pipeline_scheduler.cpp
+  std::uint64_t run_one_chain();   // reference mode
+  std::uint64_t run_throughput();  // throughput mode
 
   Graph& graph_;
   SchedulerConfig cfg_;

@@ -158,6 +158,11 @@ TEST(StreamCli, ValidateRejectsDegenerateValues) {
   EXPECT_FALSE(parse_one("--duration=-1e-3"));
   EXPECT_FALSE(parse_one("--mode=turbo"));  // unknown scheduler name
   EXPECT_FALSE(parse_one("--batch-size=0"));
+  // More than one chain is a throughput-mode setting.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse_one("--threads=2"));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("--mode throughput"), std::string::npos) << err;
   EXPECT_TRUE(parse_one("--block-size=1"));
   EXPECT_TRUE(parse_one("--mode=throughput"));
 }

@@ -633,12 +633,9 @@ TEST(LangWriteHandlers, PositionedWritesDeterministicAcrossBlockThreadsModes) {
 
   for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                                   std::size_t{256}, std::size_t{4096}}) {
+    EXPECT_EQ(run_write_grid_session(data, block, SchedulerConfig{}), baseline)
+        << "reference block=" << block;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SchedulerConfig ref;
-      ref.threads = threads;
-      EXPECT_EQ(run_write_grid_session(data, block, ref), baseline)
-          << "reference block=" << block << " threads=" << threads;
-
       SchedulerConfig thr;
       thr.mode = stream::SchedulerMode::kThroughput;
       thr.threads = threads;

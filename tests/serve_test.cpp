@@ -910,6 +910,21 @@ TEST(RelayDaemon, ConstructorRejectsBadGraphsAndPresets) {
   noep.graph_text = "in :: SocketSource();\nin -> NullSink();\n";
   noep.log = [](const std::string&) {};
   EXPECT_THROW(serve::RelayDaemon{noep}, std::logic_error);
+
+  // More than one thread is a throughput-mode setting: the daemon refuses
+  // it at start-up, not at the first session.
+  serve::DaemonConfig threads;
+  threads.graph_text = "src :: VectorSource(data=(1,0), block=1);\nsrc -> NullSink();\n";
+  threads.log = [](const std::string&) {};
+  threads.threads = 3;
+  try {
+    serve::RelayDaemon daemon{threads};
+    FAIL() << "a reference-mode daemon accepted threads = 3";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("mode = throughput"), std::string::npos) << e.what();
+  }
+  threads.throughput = true;
+  EXPECT_NO_THROW(serve::RelayDaemon{threads});
 }
 
 /// One connect(2) to a Unix socket path, no retry: the fd, or an invalid

@@ -1,5 +1,5 @@
 // Streaming element-graph runtime tests: graph validation, the block-size
-// and thread-count invariance contract (streaming output must be
+// and scheduler invariance contract (streaming output must be
 // bit-identical to the batch path no matter how the stream is blocked or
 // scheduled), and bounded-queue backpressure (saturation degrades
 // throughput, never correctness).
@@ -129,22 +129,49 @@ TEST(StreamGraph, RejectsCycles) {
   EXPECT_THROW(g.validate(), std::logic_error);
 }
 
+std::vector<std::string> topo_names(const Graph& g) {
+  std::vector<std::string> names;
+  for (const stream::Element* e : g.topo_order()) names.push_back(e->name());
+  return names;
+}
+
 TEST(StreamGraph, LevelsFollowLongestPath) {
   Graph g;
   auto* src = g.emplace<stream::VectorSource>("src", random_signal(64, 9), 16);
   auto* tee = g.emplace<stream::Tee>("tee", 2);
-  auto* q = g.emplace<stream::Queue>("q");
   auto* add = g.emplace<stream::Add2>("add");
   auto* sink = g.emplace<stream::AccumulatorSink>("sink");
+  auto* q = g.emplace<stream::Queue>("q");
   g.connect(*src, 0, *tee, 0);
   g.connect(*tee, 0, *add, 0, /*capacity=*/16);
   g.connect(*tee, 1, *q, 0);
   g.connect(*q, 0, *add, 1);
   g.connect(*add, 0, *sink, 0);
   g.validate();
-  // src=0, tee=1, q=2, add=3 (longest path through q), sink=4.
-  ASSERT_EQ(g.levels().size(), 5u);
-  for (const auto& level : g.levels()) EXPECT_EQ(level.size(), 1u);
+  // src=0, tee=1, q=2, add=3 (longest path through q, though q was added
+  // after add), sink=4.
+  EXPECT_EQ(topo_names(g), (std::vector<std::string>{"src", "tee", "q", "add", "sink"}));
+
+  // b2, b1 and out1 share level 2, and b2 was added before b1: within a
+  // level the order is insertion order.
+  Graph h;
+  auto* s = h.emplace<stream::VectorSource>("s", random_signal(64, 9), 16);
+  auto* split = h.emplace<stream::Tee>("split", 3);
+  auto* b2 = h.emplace<stream::Queue>("b2");
+  auto* b1 = h.emplace<stream::Queue>("b1");
+  auto* join = h.emplace<stream::Add2>("join");
+  auto* out1 = h.emplace<stream::NullSink>("out1");
+  auto* out2 = h.emplace<stream::NullSink>("out2");
+  h.connect(*s, 0, *split, 0);
+  h.connect(*split, 0, *b1, 0);
+  h.connect(*split, 1, *b2, 0);
+  h.connect(*b1, 0, *join, 0);
+  h.connect(*b2, 0, *join, 1);
+  h.connect(*split, 2, *out1, 0);
+  h.connect(*join, 0, *out2, 0);
+  h.validate();
+  EXPECT_EQ(topo_names(h), (std::vector<std::string>{"s", "split", "b2", "b1", "out1",
+                                                     "join", "out2"}));
 }
 
 TEST(StreamCombine, RejectsMisalignedStreams) {
@@ -455,7 +482,7 @@ TEST(StreamGate, OpensOnSignatureAndIsBlockSizeInvariant) {
   for (const Complex s : sink->take()) ASSERT_EQ(s, Complex{});
 }
 
-// ------------------------------------------ composite graph, threads x bs
+// ------------------------------------------ composite graph, block sizes
 
 struct CompositeResult {
   CVec out;
@@ -542,27 +569,26 @@ CompositeResult run_composite(std::size_t block_size, std::size_t threads,
   return r;
 }
 
-TEST(StreamInvariance, CompositeGraphIsThreadAndBlockSizeInvariant) {
+TEST(StreamInvariance, CompositeGraphIsBlockSizeInvariantOnAPinnedSchedule) {
   const CompositeResult reference = run_composite(64, 1);
   ASSERT_GT(reference.out.size(), 0u);
   EXPECT_EQ(reference.sink_samples, reference.out.size());
 
-  for (const std::size_t bs : kBlockSizes) {
-    for (const std::size_t threads : kThreadCounts) {
-      const CompositeResult r = run_composite(bs, threads);
-      ASSERT_EQ(r.out.size(), reference.out.size())
-          << "bs=" << bs << " threads=" << threads;
-      for (std::size_t i = 0; i < r.out.size(); ++i)
-        ASSERT_EQ(r.out[i], reference.out[i])
-            << "bs=" << bs << " threads=" << threads << " sample " << i;
-      // The schedule itself is thread-count independent: same rounds, same
-      // queue occupancy peaks, same deterministic counters.
-      if (bs == 64) {
-        EXPECT_EQ(r.rounds, reference.rounds) << "threads=" << threads;
-        EXPECT_EQ(r.depth_peak, reference.depth_peak) << "threads=" << threads;
-      }
-      EXPECT_EQ(r.sink_samples, r.out.size());
-    }
+  // The reference schedule is a function of the graph and its block size:
+  // the rounds to drain it and the relay branch's queue peak into add.
+  const struct {
+    std::size_t bs;
+    std::uint64_t rounds;
+    double depth_peak;
+  } schedules[] = {{1, 270, 8.0}, {7, 39, 8.0}, {64, 5, 8.0}, {4096, 1, 2.0}};
+  for (const auto& want : schedules) {
+    const CompositeResult r = run_composite(want.bs, 1);
+    ASSERT_EQ(r.out.size(), reference.out.size()) << "bs=" << want.bs;
+    for (std::size_t i = 0; i < r.out.size(); ++i)
+      ASSERT_EQ(r.out[i], reference.out[i]) << "bs=" << want.bs << " sample " << i;
+    EXPECT_EQ(r.rounds, want.rounds) << "bs=" << want.bs;
+    EXPECT_EQ(r.depth_peak, want.depth_peak) << "bs=" << want.bs;
+    EXPECT_EQ(r.sink_samples, r.out.size());
   }
 }
 
@@ -690,6 +716,24 @@ class StuckElement : public stream::Element {
   bool work() override { return false; }
 };
 }  // namespace
+
+TEST(StreamScheduler, StuckGraphFailsWithItsRoundNumber) {
+  // Round 1 fills the capacity-4 channel into the stuck element; round 2
+  // moves nothing, and nothing waits on an external peer.
+  Graph g;
+  auto* src = g.emplace<stream::VectorSource>("src", random_signal(1000, 3), 8);
+  auto* stuck = g.emplace<StuckElement>("stuck");
+  auto* sink = g.emplace<stream::AccumulatorSink>("sink");
+  g.connect(*src, 0, *stuck, 0, /*capacity=*/4);
+  g.connect(*stuck, 0, *sink, 0, /*capacity=*/4);
+  try {
+    Scheduler(g).run();
+    FAIL() << "a stuck graph reached the end";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("stalled after 2 rounds"), std::string::npos) << what;
+  }
+}
 
 TEST(StreamThroughput, WatchdogAbortsStuckGraph) {
   Graph g;
@@ -903,24 +947,18 @@ std::uint64_t run_relay_session(const RelaySession& s, const SchedulerConfig& sc
 
 TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
   // The pinned f64 stream checksum. If this moves, the streaming runtime
-  // changed the physics — at ANY block size, worker count, chain
-  // partitioning and batch size, in either mode.
+  // changed the physics — at ANY block size, chain partitioning and batch
+  // size, in either mode.
   constexpr std::uint64_t kChecksum = 0x1179AD8BF8201EEFULL;
   const RelaySession session = make_relay_session();
 
-  // Reference mode across block sizes and level workers: per-sample (1),
-  // odd (7), small (64), default (256) and large (4096) blocks, the shapes
-  // where a vectorized block path could diverge from the per-sample one.
-  const struct {
-    std::size_t block, threads;
-  } reference_runs[] = {{1, 1},    {7, 2},    {64, 1},    {64, 4},
-                        {4096, 1}, {4096, 2}, {4096, 4}, {256, 1}, {256, 4}};
-  for (const auto& run : reference_runs) {
-    SchedulerConfig reference;
-    reference.threads = run.threads;
-    EXPECT_EQ(run_relay_session(session, reference, run.block), kChecksum)
-        << "block=" << run.block << " threads=" << run.threads;
-  }
+  // Reference mode across block sizes: per-sample (1), odd (7), small (64),
+  // default (256) and large (4096) blocks, the shapes where a vectorized
+  // block path could diverge from the per-sample one.
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  std::size_t{256}, std::size_t{4096}})
+    EXPECT_EQ(run_relay_session(session, SchedulerConfig{}, block), kChecksum)
+        << "block=" << block;
 
   for (const std::size_t chains : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
@@ -939,34 +977,29 @@ TEST(StreamThroughput, RelaySessionChecksumPinnedAcrossModes) {
 // The f32 relay session has its OWN pinned checksum (docs/PERFORMANCE.md,
 // "The float32 family"): a different constant from the f64 session's
 // 1179ad8bf8201eef, but held to the same invariance contract — one value no
-// matter how the stream is blocked, how many workers run it, which
+// matter how the stream is blocked, how many chains run it, which
 // scheduler executes it, or (via the release-nosimd preset re-running this
 // binary) which ISA the kernels dispatched to.
 TEST(StreamF32, RelaySessionChecksumPinnedAcrossBlocksThreadsAndModes) {
   constexpr std::uint64_t kChecksumF32 = 0x9B0F13BDDC24F7A8ULL;
   const RelaySession session = make_relay_session(Precision::kF32);
 
-  // Every block size runs in both modes; the worker count cycles through
-  // {1,2,4} so each appears in each mode across the sweep.
+  // Every block size runs in both modes; the throughput chain count cycles
+  // through {1,2,4} across the sweep.
   std::size_t rotate = 0;
   for (const std::size_t block : kBlockSizes) {
-    for (const bool throughput : {false, true}) {
-      SchedulerConfig sc;
-      sc.threads = kThreadCounts[rotate++ % 3];
-      if (throughput) {
-        sc.mode = stream::SchedulerMode::kThroughput;
-        sc.batch_size = 4;
-      }
-      EXPECT_EQ(run_relay_session(session, sc, block), kChecksumF32)
-          << "block=" << block << " threads=" << sc.threads
-          << " mode=" << (throughput ? "throughput" : "reference");
-    }
+    EXPECT_EQ(run_relay_session(session, SchedulerConfig{}, block), kChecksumF32)
+        << "block=" << block << " mode=reference";
+    SchedulerConfig tp;
+    tp.mode = stream::SchedulerMode::kThroughput;
+    tp.threads = kThreadCounts[rotate++ % 3];
+    tp.batch_size = 4;
+    EXPECT_EQ(run_relay_session(session, tp, block), kChecksumF32)
+        << "block=" << block << " threads=" << tp.threads << " mode=throughput";
   }
-  // Full thread sweep at the bench block size, both modes.
+  // The bench block size in reference mode and across the chain sweep.
+  EXPECT_EQ(run_relay_session(session, SchedulerConfig{}), kChecksumF32) << "ref";
   for (const std::size_t threads : kThreadCounts) {
-    SchedulerConfig ref;
-    ref.threads = threads;
-    EXPECT_EQ(run_relay_session(session, ref), kChecksumF32) << "ref t=" << threads;
     SchedulerConfig tp;
     tp.mode = stream::SchedulerMode::kThroughput;
     tp.threads = threads;
@@ -1122,7 +1155,7 @@ TEST(StreamBackpressure, BoundedQueueNeverDropsUnderSaturation) {
 
 TEST(StreamBackpressure, ThrottledSinkStillDrainsEverythingMultithreaded) {
   const CVec x = random_signal(5000, 17);
-  for (const std::size_t threads : kThreadCounts) {
+  for (const std::size_t chains : kThreadCounts) {
     Graph g;
     auto* src = g.emplace<stream::VectorSource>("src", x, 8);
     auto* tee = g.emplace<stream::Tee>("tee", 2);
@@ -1132,22 +1165,39 @@ TEST(StreamBackpressure, ThrottledSinkStillDrainsEverythingMultithreaded) {
     g.connect(*tee, 0, *a, 0, /*capacity=*/2);
     g.connect(*tee, 1, *b, 0, /*capacity=*/2);
     SchedulerConfig sc;
-    sc.threads = threads;
+    sc.mode = stream::SchedulerMode::kThroughput;
+    sc.threads = chains;
     Scheduler(g, sc).run();
-    EXPECT_EQ(a->take(), x) << "threads=" << threads;
-    EXPECT_EQ(b->take(), x) << "threads=" << threads;
+    EXPECT_EQ(a->take(), x) << "chains=" << chains;
+    EXPECT_EQ(b->take(), x) << "chains=" << chains;
   }
 }
 
-TEST(StreamScheduler, MaxRoundsGuardsRunawayGraphs) {
-  const CVec x = random_signal(4096, 19);
-  Graph g;
-  auto* src = g.emplace<stream::VectorSource>("src", x, 1);  // 4096 rounds minimum
-  auto* sink = g.emplace<stream::AccumulatorSink>("sink", 1);
-  g.connect(*src, 0, *sink, 0, 2);
-  SchedulerConfig sc;
-  sc.max_rounds = 10;
-  EXPECT_THROW(Scheduler(g, sc).run(), std::logic_error);
+TEST(StreamScheduler, ReferenceModeRunsOneChain) {
+  // threads 0 and 1 both mean the one chain on the calling thread; more
+  // is a throughput-mode setting.
+  const CVec x = random_signal(100, 19);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
+    Graph g;
+    auto* src = g.emplace<stream::VectorSource>("src", x, 8);
+    auto* sink = g.emplace<stream::AccumulatorSink>("sink");
+    g.connect(*src, 0, *sink, 0);
+    SchedulerConfig sc;
+    sc.threads = threads;
+    if (threads <= 1) {
+      // 13 blocks through a capacity-8 channel: 8, then 5 and the close.
+      EXPECT_EQ(Scheduler(g, sc).run(), 2u) << "threads=" << threads;
+      EXPECT_EQ(sink->take(), x) << "threads=" << threads;
+      continue;
+    }
+    try {
+      Scheduler(g, sc).run();
+      FAIL() << "reference mode ran with threads = " << threads;
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("mode = throughput"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(StreamRuntime, BlockFlagsMarkStreamEnds) {
